@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test sweep sweep-fast fsck analyze analyze-fast \
+.PHONY: check test sweep sweep-fast fsck analyze \
 	lint-persist lint-time obs-report fleet-smoke concurrent-smoke \
 	elision-report
 
@@ -40,13 +40,6 @@ concurrent-smoke:
 # this is what makes `make check` fail on new hazards.
 analyze:
 	$(PYTHON) -m repro.analysis --closure-schema --static-order \
-	  --assumptions analysis-assumptions.json \
-	  --baseline analysis-baseline.json
-
-# Inner-loop variant: skips the closure boot and the interprocedural
-# pass (call summaries, ESP501/ESP505) — seconds, for edit-compile-lint.
-analyze-fast:
-	$(PYTHON) -m repro.analysis --static-order --no-interprocedural \
 	  --assumptions analysis-assumptions.json \
 	  --baseline analysis-baseline.json
 

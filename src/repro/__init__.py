@@ -10,7 +10,8 @@ Entry points:
 
 * :func:`repro.open_heap` — *the* way in: create-or-load one heap as a
   context-managed session (``with repro.open_heap(dir, name, ...)``).
-* :class:`repro.Espresso` — one "JVM" with the persistence extensions.
+* :class:`repro.Espresso` — one "JVM" with the persistence extensions,
+  configured only through ``config=`` :class:`repro.EspressoConfig`.
 * :meth:`repro.fleet.FleetRouter.session` — the sharded multi-heap way in.
 * :mod:`repro.pcj` — the Persistent Collections for Java baseline.
 * :mod:`repro.jpa` / :mod:`repro.pjo` — coarse-grained persistence layers.

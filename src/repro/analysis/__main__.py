@@ -17,8 +17,7 @@ apply):
 * **static order** — ``--static-order`` runs the CFG + interprocedural
   persist-order verifier (ESP501-505) over the in-tree durable
   subsystems (or ``--paths``); ``--assumptions FILE`` supplies justified
-  suppressions/contracts, ``--no-interprocedural`` keeps only the
-  intra-procedural rules for fast inner-loop runs.
+  suppressions/contracts.
 
 Findings print one per line (``CODE where: message``); ``--json`` emits
 the full report.  A baseline file of finding fingerprints suppresses
@@ -123,8 +122,8 @@ def _run_elision(report: AnalysisReport, trace_path: Path) -> None:
     report.add_pass("elision", elision.diagnostics(), summary)
 
 
-def _run_static_order(report: AnalysisReport, paths, assumptions_path,
-                      interprocedural: bool) -> None:
+def _run_static_order(report: AnalysisReport, paths,
+                      assumptions_path) -> None:
     from repro.analysis.static_order import (Assumptions, analyze_paths,
                                              load_assumptions)
     if assumptions_path is not None and assumptions_path.exists():
@@ -132,8 +131,7 @@ def _run_static_order(report: AnalysisReport, paths, assumptions_path,
     else:
         assumptions = Assumptions.empty()
     result = analyze_paths(paths=paths, repo_root=_REPO_ROOT,
-                           assumptions=assumptions,
-                           interprocedural=interprocedural)
+                           assumptions=assumptions)
     report.add_pass("static_order", result.diagnostics(), result.summary())
 
 
@@ -201,11 +199,6 @@ def main(argv=None) -> int:
                         help="run the static persist-order verifier "
                              "(ESP501-505) over the in-tree durable "
                              "subsystems, or over --paths when given")
-    parser.add_argument("--no-interprocedural", action="store_true",
-                        help="with --static-order: skip call summaries "
-                             "and the whole-call-graph rules (ESP501 "
-                             "helper resolution, ESP505) for fast "
-                             "inner-loop runs")
     parser.add_argument("--assumptions", type=Path, default=None,
                         metavar="FILE",
                         help="with --static-order: justified suppressions "
@@ -250,8 +243,7 @@ def main(argv=None) -> int:
     elif args.elision:
         raise SystemExit("--elision needs --trace FILE")
     if args.static_order:
-        _run_static_order(report, args.paths, args.assumptions,
-                          interprocedural=not args.no_interprocedural)
+        _run_static_order(report, args.paths, args.assumptions)
 
     if args.update_baseline:
         baseline_path = args.baseline \

@@ -1,9 +1,8 @@
 """AST-based source lint: the ESP3xx rules.
 
-Successor to the regex greps in :mod:`repro.tools.lint_persist` and
-:mod:`repro.tools.lint_time` (which now delegate here).  Walking the AST
-instead of lines means comments, docstrings and string literals can name
-the forbidden APIs freely — only actual call expressions are flagged:
+Walking the AST instead of grepping lines means comments, docstrings
+and string literals can name the forbidden APIs freely — only actual
+call expressions are flagged:
 
 * **ESP301** — any ``clflush(...)`` call: the primitive belongs to the
   device layer; durable subsystems route flushes through
@@ -26,11 +25,11 @@ the forbidden APIs freely — only actual call expressions are flagged:
   the module.  Immutable lookup tables stay legal — only *mutated*
   containers are flagged.
 
-The historical exemption lists are preserved per rule family: the
-persist layer and the crash harness may flush and fence, the simulated
-clock and the observability layer may name wall-clock APIs.  ESP305 is
-the inverse shape: an *include* list — it only applies to the
-re-entrant layers, everywhere else is out of scope.
+The exemption lists are per rule family: the persist layer and the
+crash harness may flush and fence, the simulated clock and the
+observability layer may name wall-clock APIs.  ESP305 is the inverse
+shape: an *include* list — it only applies to the re-entrant layers,
+everywhere else is out of scope.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, make_diagnostic
 
-#: Rules delegated to by the legacy lint-persist / lint-time entry points.
+#: Rule families (``make lint-persist`` / ``make lint-time``).
 PERSIST_RULES = ("ESP301", "ESP302")
 TIME_RULES = ("ESP303",)
 #: The re-entrancy gate over the session/core layers.
@@ -50,10 +49,8 @@ SESSION_RULES = ("ESP305",)
 ALL_RULES = PERSIST_RULES + TIME_RULES + SESSION_RULES
 
 #: Per-rule-family exemption prefixes (relative to a lint root).
-PERSIST_EXEMPT = ("repro/nvm/", "repro/faults/",
-                  "repro/tools/lint_persist.py")
-TIME_EXEMPT = ("repro/nvm/clock.py", "repro/obs/",
-               "repro/tools/lint_time.py")
+PERSIST_EXEMPT = ("repro/nvm/", "repro/faults/")
+TIME_EXEMPT = ("repro/nvm/clock.py", "repro/obs/")
 
 _EXEMPT_FOR: Dict[str, Tuple[str, ...]] = {
     "ESP301": PERSIST_EXEMPT,
@@ -97,10 +94,6 @@ class LintFinding:
     def to_diagnostic(self) -> Diagnostic:
         return make_diagnostic(self.code, self.where,
                                f"{self.reason}: {self.line}")
-
-    def legacy_tuple(self) -> Tuple[str, int, str, str]:
-        """The (rel, lineno, line, reason) shape of the old linters."""
-        return (self.path, self.lineno, self.line, self.reason)
 
 
 class _CallScanner(ast.NodeVisitor):

@@ -631,12 +631,10 @@ class _Engine:
     """One analysis run over a collected set of functions."""
 
     def __init__(self, functions: List[FunctionInfo], index: _PublishIndex,
-                 assumptions: "Assumptions",
-                 interprocedural: bool) -> None:
+                 assumptions: "Assumptions") -> None:
         self.functions = functions
         self.index = index
         self.assumptions = assumptions
-        self.interprocedural = interprocedural
         self.by_name: Dict[str, List[FunctionInfo]] = {}
         for info in functions:
             self.by_name.setdefault(info.name, []).append(info)
@@ -702,15 +700,6 @@ class _Engine:
 
     def _apply_call(self, op: Op, state: State,
                     info: FunctionInfo) -> List[State]:
-        if not self.interprocedural:
-            # No summaries: an opaque call *may* fence (many in-tree
-            # helpers do), so clear pending optimistically — fast mode
-            # only reports ESP503 for flushes still pending on a
-            # call-free suffix, trading recall for zero structural FPs.
-            if state.pending_own or state.pending_call:
-                return [state._replace(pending_own=_NO_PENDING,
-                                       pending_call=_NO_PENDING)]
-            return [state]
         cands = self._candidates(op.name)
         if not cands:
             return [state]
@@ -911,17 +900,16 @@ class _Engine:
     # -- driver ----------------------------------------------------------
     def run(self) -> None:
         order = sorted(self.functions, key=lambda f: (f.path, f.lineno))
-        if self.interprocedural:
-            for _ in range(MAX_FIXPOINT_ROUNDS):
-                changed = False
-                for info in order:
-                    ret_states, _ = self._run_function(info, report=False)
-                    new = self._summarise(info, ret_states)
-                    if new.key() != self.summaries[info.where].key():
-                        self.summaries[info.where] = new
-                        changed = True
-                if not changed:
-                    break
+        for _ in range(MAX_FIXPOINT_ROUNDS):
+            changed = False
+            for info in order:
+                ret_states, _ = self._run_function(info, report=False)
+                new = self._summarise(info, ret_states)
+                if new.key() != self.summaries[info.where].key():
+                    self.summaries[info.where] = new
+                    changed = True
+            if not changed:
+                break
         # Final reporting pass with stable summaries.
         for info in order:
             ret_states, _ = self._run_function(info, report=True)
@@ -934,8 +922,7 @@ class _Engine:
                      ret_states: Set[State]) -> None:
         self._reporting = True
         assumed = self.assumptions.defers_fence(info.where)
-        is_root = self.interprocedural \
-            and info.name not in self.called_names
+        is_root = info.name not in self.called_names
         for state in sorted(ret_states):
             conditional = any(val is False and p in info.params
                               for (p, val) in state.conds)
@@ -987,7 +974,7 @@ class _Engine:
                         has_durability = True
                     elif op.kind in (K_STORE, K_FLUSH):
                         has_mutation = True
-                    elif op.kind == K_CALL and self.interprocedural:
+                    elif op.kind == K_CALL:
                         for cand in self._candidates(op.name):
                             s = self.summaries[cand.where]
                             if s.fences_always or s.provides_guard:
@@ -1098,7 +1085,6 @@ class StaticOrderResult:
     metadata_functions: Dict[str, str]
     suppressed: int
     unused_assumptions: List[str]
-    interprocedural: bool
 
     def diagnostics(self) -> List[Diagnostic]:
         return list(self.findings)
@@ -1111,7 +1097,6 @@ class StaticOrderResult:
             "by_code": by_code,
             "files": self.files,
             "functions": self.functions,
-            "interprocedural": self.interprocedural,
             "metadata_functions": dict(sorted(
                 self.metadata_functions.items())),
             "publish_points": dict(sorted(self.publish_points.items())),
@@ -1147,16 +1132,13 @@ def _scope_from_roots(roots: Sequence[Path]) -> List[Tuple[Path, str]]:
 
 def analyze_paths(paths: Optional[Sequence[Path]] = None,
                   repo_root=None,
-                  assumptions: Optional[Assumptions] = None,
-                  interprocedural: bool = True) -> StaticOrderResult:
+                  assumptions: Optional[Assumptions] = None
+                  ) -> StaticOrderResult:
     """Run the ESP5xx verifier.
 
     With no *paths*, the in-tree durable-subsystem scope under
     ``repo_root/src`` is analyzed; otherwise every ``*.py`` under the
-    given roots.  *assumptions* supplies suppressions/contracts;
-    *interprocedural* False skips summaries and disables the
-    whole-call-graph rules (ESP501 publish-guard tracking through
-    helpers and ESP505) for fast inner-loop runs.
+    given roots.  *assumptions* supplies suppressions/contracts.
     """
     if assumptions is None:
         assumptions = Assumptions.empty()
@@ -1192,13 +1174,8 @@ def analyze_paths(paths: Optional[Sequence[Path]] = None,
     for tree, rel in parsed:
         functions.extend(_build_functions(tree, rel, index))
 
-    engine = _Engine(functions, index, assumptions, interprocedural)
+    engine = _Engine(functions, index, assumptions)
     engine.run()
-    if not interprocedural:
-        # Without summaries, guard/escape tracking through helpers is
-        # unsound: keep only the intra-procedural rules.
-        intra = ("ESP502", "ESP503", "ESP504")
-        engine.findings = [d for d in engine.findings if d.code in intra]
     raw = len(engine.findings)
     findings = assumptions.filter(engine.findings)
     publish_points = {
@@ -1215,5 +1192,4 @@ def analyze_paths(paths: Optional[Sequence[Path]] = None,
         metadata_functions=metadata_functions,
         suppressed=raw - len(findings),
         unused_assumptions=assumptions.unused(),
-        interprocedural=interprocedural,
     )

@@ -2,10 +2,11 @@
 
 One :class:`Espresso` object plays the role of one JVM process with the
 paper's extensions: ``new``/``pnew``, the Table 1 heap-management APIs
-(canonically snake_case — ``create_heap`` — with the paper's Java
-spellings kept as deprecated aliases), the §3.5 flush APIs, an
+in snake_case (``create_heap``, ``load_heap``, ...; README.md maps them
+to the paper's names), the §3.5 flush APIs, an
 :class:`~repro.obs.Observatory` at ``jvm.obs``, and restart/crash
-simulation for exercising recovery.
+simulation for exercising recovery.  Every knob lives in one
+:class:`EspressoConfig`, passed as ``config=``.
 
 Quickstart (the paper's Figure 11)::
 
@@ -34,10 +35,9 @@ recommended way in — keyword-only, context-managed)::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
-from typing import Optional, Sequence, Set, Union
+from typing import Optional, Sequence, Union
 
 from repro.core.flush_api import (
     FlushReport,
@@ -64,7 +64,8 @@ class EspressoConfig:
 
     Passing a config (or letting :meth:`Espresso.restart` carry one
     forward) guarantees no knob is silently dropped across restarts.
-    ``observatory=None`` means the zero-cost no-op recorder.
+    Each session keeps its own copy, so one config can seed many
+    sessions.  ``observatory=None`` means the zero-cost no-op recorder.
     """
 
     clock: Optional[Clock] = None
@@ -123,43 +124,12 @@ class EspressoConfig:
 class Espresso:
     """One simulated JVM with Espresso's persistence extensions."""
 
-    def __init__(self, heap_dir: Union[str, Path], *legacy,
-                 clock: Optional[Clock] = None,
-                 latency: LatencyConfig = DEFAULT_LATENCY,
-                 heap_config: Optional[HeapConfig] = None,
-                 alias_aware: bool = True,
-                 observatory: Optional[Observatory] = None,
-                 gc_workers: int = 1,
-                 mutators: int = 1,
+    def __init__(self, heap_dir: Union[str, Path], *,
                  config: Optional[EspressoConfig] = None) -> None:
-        #: Java-spelled aliases / legacy shims that already warned here.
-        self._warned_aliases: Set[str] = set()
-        if legacy:
-            # Pre-redesign signature: clock (then latency, ...) were
-            # positional.  Accept and map them, warning once.
-            self._warn_alias("__init__(heap_dir, clock, ...)",
-                             "__init__(heap_dir, clock=...)")
-            names = ("clock", "latency", "heap_config", "alias_aware",
-                     "observatory", "gc_workers", "config")
-            if len(legacy) > len(names):
-                raise TypeError(
-                    f"Espresso() takes at most {len(names)} positional "
-                    f"config arguments, got {len(legacy)}")
-            provided = dict(zip(names, legacy))
-            clock = provided.get("clock", clock)
-            latency = provided.get("latency", latency)
-            heap_config = provided.get("heap_config", heap_config)
-            alias_aware = provided.get("alias_aware", alias_aware)
-            observatory = provided.get("observatory", observatory)
-            gc_workers = provided.get("gc_workers", gc_workers)
-            config = provided.get("config", config)
-        if config is None:
-            config = EspressoConfig(
-                clock=clock, latency=latency,
-                heap_config=(heap_config if heap_config is not None
-                             else HeapConfig()),
-                alias_aware=alias_aware, observatory=observatory,
-                gc_workers=gc_workers, mutators=mutators)
+        # A private copy: sessions built from one shared config must not
+        # share the registries filled in below.  ``restart`` passes an
+        # already-filled config, so its registries carry by reference.
+        config = replace(config) if config is not None else EspressoConfig()
         self.config = config
         if config.persistent_types is None:
             config.persistent_types = PersistentTypeRegistry()
@@ -176,36 +146,24 @@ class Espresso:
         self.heap_dir = Path(heap_dir)
 
     @classmethod
-    def open(cls, heap_dir: Union[str, Path], name: str, *legacy,
-             size_bytes: Optional[int] = None,
-             safety: SafetyLevel = SafetyLevel.USER_GUARANTEED,
-             region_words: int = 1024,
-             config: Optional[EspressoConfig] = None) -> "Espresso":
-        """Create-or-load convenience: a session with ``name`` mounted.
+    def session(cls, heap_dir: Union[str, Path],
+                name: Optional[str] = None, *,
+                size_bytes: Optional[int] = None,
+                safety: SafetyLevel = SafetyLevel.USER_GUARANTEED,
+                region_words: int = 1024,
+                config: Optional[EspressoConfig] = None) -> "Espresso":
+        """Context-managed session: ``with Espresso.session(...) as jvm:``.
 
-        Loads the heap if it exists (``size_bytes`` is then ignored —
-        the stored geometry wins), creates it otherwise.  Creating a
-        heap that does not exist yet requires ``size_bytes``.  This is
-        the one keyword-only config path shared with
-        :meth:`FleetRouter.load <repro.fleet.FleetRouter.load>`; prefer
-        :func:`repro.open_heap` / :meth:`session` as the way in.
+        With *name* the heap is mounted create-or-load: loaded if it
+        exists (``size_bytes`` is then ignored — the stored geometry
+        wins), created otherwise, which requires ``size_bytes``.
+        Without *name* the session starts with no heap mounted.  Exiting
+        the ``with`` block shuts down cleanly — or crashes the session
+        (losing unflushed lines) if the body raised.
         """
-        if legacy:
-            # Pre-redesign signature: open(dir, name, size_bytes, ...).
-            names = ("size_bytes", "safety", "region_words", "config")
-            if len(legacy) > len(names):
-                raise TypeError(
-                    f"Espresso.open() takes at most {len(names)} "
-                    f"positional arguments after name, got {len(legacy)}")
-            provided = dict(zip(names, legacy))
-            size_bytes = provided.get("size_bytes", size_bytes)
-            safety = provided.get("safety", safety)
-            region_words = provided.get("region_words", region_words)
-            config = provided.get("config", config)
         jvm = cls(heap_dir, config=config)
-        if legacy:
-            jvm._warn_alias("open(dir, name, size_bytes)",
-                            "open(dir, name, size_bytes=...)")
+        if name is None:
+            return jvm
         if jvm.exists_heap(name):
             jvm.load_heap(name, safety)
         else:
@@ -216,27 +174,6 @@ class Espresso:
                     f"given to create it")
             jvm.create_heap(name, size_bytes, safety, region_words)
         return jvm
-
-    @classmethod
-    def session(cls, heap_dir: Union[str, Path],
-                name: Optional[str] = None, *,
-                size_bytes: Optional[int] = None,
-                safety: SafetyLevel = SafetyLevel.USER_GUARANTEED,
-                region_words: int = 1024,
-                config: Optional[EspressoConfig] = None) -> "Espresso":
-        """Context-managed session: ``with Espresso.session(...) as jvm:``.
-
-        With *name* the heap is mounted create-or-load (like
-        :meth:`open`); without, the session starts with no heap mounted.
-        Exiting the ``with`` block shuts down cleanly — or crashes the
-        session (losing unflushed lines) if the body raised, exactly
-        like the plain constructor's context manager.
-        """
-        if name is None:
-            return cls(heap_dir, config=config)
-        return cls.open(heap_dir, name, size_bytes=size_bytes,
-                        safety=safety, region_words=region_words,
-                        config=config)
 
     # -- class definition ---------------------------------------------------
     def define_class(self, name: str,
@@ -337,60 +274,6 @@ class Espresso:
         """
         return self.config.persistent_types.add(target)
 
-    # -- Table 1 Java spellings (deprecated thin aliases) --------------------
-    def reset_deprecation_warnings(self) -> None:
-        """Forget which Java-spelled aliases have warned (for tests)."""
-        self._warned_aliases.clear()
-
-    def _warn_alias(self, java_name: str, snake_name: str) -> None:
-        if java_name in self._warned_aliases:
-            return
-        if "(" in java_name:  # legacy-signature shim, not a Java alias
-            warnings.warn(
-                f"Espresso.{java_name} is deprecated; use "
-                f"Espresso.{snake_name}",
-                DeprecationWarning, stacklevel=3)
-        else:
-            warnings.warn(
-                f"Espresso.{java_name}() is deprecated; use "
-                f"Espresso.{snake_name}() (the canonical snake_case API)",
-                DeprecationWarning, stacklevel=3)
-        # Marked only after the warn returns: under
-        # ``-W error::DeprecationWarning`` every call must keep raising,
-        # not go silent after the first swallowed error.
-        self._warned_aliases.add(java_name)
-
-    def createHeap(self, name: str, size_bytes: int,
-                   safety: SafetyLevel = SafetyLevel.USER_GUARANTEED,
-                   region_words: int = 1024) -> PersistentHeap:
-        """Deprecated Java spelling of :meth:`create_heap`."""
-        self._warn_alias("createHeap", "create_heap")
-        return self.create_heap(name, size_bytes, safety, region_words)
-
-    def loadHeap(self, name: str,
-                 safety: SafetyLevel = SafetyLevel.USER_GUARANTEED,
-                 salvage: bool = False) -> PersistentHeap:
-        """Deprecated Java spelling of :meth:`load_heap`."""
-        self._warn_alias("loadHeap", "load_heap")
-        return self.load_heap(name, safety, salvage)
-
-    def existsHeap(self, name: str) -> bool:
-        """Deprecated Java spelling of :meth:`exists_heap`."""
-        self._warn_alias("existsHeap", "exists_heap")
-        return self.exists_heap(name)
-
-    def setRoot(self, root_name: str, value: Optional[ObjectHandle],
-                heap: Optional[str] = None) -> None:
-        """Deprecated Java spelling of :meth:`set_root`."""
-        self._warn_alias("setRoot", "set_root")
-        self.set_root(root_name, value, heap)
-
-    def getRoot(self, root_name: str,
-                heap: Optional[str] = None) -> Optional[ObjectHandle]:
-        """Deprecated Java spelling of :meth:`get_root`."""
-        self._warn_alias("getRoot", "get_root")
-        return self.get_root(root_name, heap)
-
     # -- §3.5 flush APIs --------------------------------------------------------------
     def flush_field(self, handle: ObjectHandle, field_name: str) -> None:
         flush_field(self.vm, handle, field_name)
@@ -483,12 +366,7 @@ class Espresso:
             self.crash()
         else:
             self.shutdown()
-        return Espresso(self.heap_dir, config=replace(self.config))
-
-    def crash_and_restart(self) -> "Espresso":
-        """Deprecated: use :meth:`restart` with ``crash=True``."""
-        self._warn_alias("crash_and_restart()", "restart(crash=True)")
-        return self.restart(crash=True)
+        return Espresso(self.heap_dir, config=self.config)
 
     # -- context manager: `with Espresso(...) as jvm:` shuts down cleanly ----
     def __enter__(self) -> "Espresso":
@@ -539,10 +417,10 @@ def open_heap(heap_dir: Union[str, Path], name: str, *,
                              size_bytes=1024 * 1024) as jvm:
             ...
 
-    Equivalent to :meth:`Espresso.open` with the redesigned keyword-only
-    signature; multi-shard sessions use
-    :meth:`repro.fleet.FleetRouter.session` the same way.
+    Equivalent to :meth:`Espresso.session` with a heap *name*;
+    multi-shard sessions use :meth:`repro.fleet.FleetRouter.session` the
+    same way.
     """
-    return Espresso.open(heap_dir, name, size_bytes=size_bytes,
-                         safety=safety, region_words=region_words,
-                         config=config)
+    return Espresso.session(heap_dir, name, size_bytes=size_bytes,
+                            safety=safety, region_words=region_words,
+                            config=config)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict
 
-from repro.api import Espresso
+from repro.api import Espresso, EspressoConfig
 from repro.jpab import BASIC_TEST, run_jpab_test
 from repro.nvm.clock import Clock
 from repro.nvm.latency import DEFAULT_LATENCY, LatencyConfig
@@ -53,7 +53,7 @@ def _tuple_speedups(latency: LatencyConfig, count: int,
         tuples[i].get(i % 3)
     pcj_get = (pcj_clock.now_ns - t0) / count
 
-    jvm = Espresso(heap_dir, latency=latency)
+    jvm = Espresso(heap_dir, config=EspressoConfig(latency=latency))
     jvm.create_heap("t", 1 << 23)
     txn = PjhTransaction(jvm)
     ptuples = [PjhTuple(jvm, txn, 3) for _ in range(count)]
@@ -89,8 +89,8 @@ def run(count: int = 800, heap_dir: Path | None = None
 
         def pjo_factory(clock, _latency=latency, _scale=scale):
             from repro.pjo.provider import PjoEntityManager
-            jvm = Espresso(root / f"jpab{_scale}", clock=clock,
-                           latency=_latency)
+            jvm = Espresso(root / f"jpab{_scale}", config=EspressoConfig(
+                clock=clock, latency=_latency))
             jvm.create_heap("jpab", 32 * 1024 * 1024)
             em = PjoEntityManager(jvm)
             em.create_schema(BASIC_TEST.entities)

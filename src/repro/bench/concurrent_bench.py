@@ -58,14 +58,15 @@ def run_scaling(base_dir, widths: Sequence[int] = GANG_WIDTHS,
                 key_space: int = KEY_SPACE,
                 seed: int = SEED) -> List[GangRow]:
     """One fresh session per gang width, identical total op budget."""
-    from repro.api import Espresso
+    from repro.api import Espresso, EspressoConfig
     from repro.workloads.concurrent_kv import ConcurrentKvWorkload
 
     base_dir = Path(base_dir)
     rows: List[GangRow] = []
     baseline = None
     for width in widths:
-        jvm = Espresso(base_dir / f"gang-{width}", mutators=width)
+        jvm = Espresso(base_dir / f"gang-{width}", config=EspressoConfig(
+            mutators=width))
         jvm.create_heap("kv", 4 * 1024 * 1024)
         workload = ConcurrentKvWorkload(
             jvm, mutators=width, ops_per_mutator=total_ops // width,

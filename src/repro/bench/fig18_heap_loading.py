@@ -8,7 +8,7 @@ linearly with the number of objects with zeroing safety."
 
 We sweep object counts (scaled down 10x by default — simulated time is
 deterministic, so the flat-vs-linear shape needs no averaging) and measure
-``loadHeap`` time under both safety levels.  A third series repeats the
+``load_heap`` time under both safety levels.  A third series repeats the
 zeroing load with an 8-worker gang (``gc_workers=8``): the scan
 partitions the object walk over simulated workers, flattening the linear
 curve without changing the loaded image.
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List
 
-from repro.api import Espresso
+from repro.api import Espresso, EspressoConfig
 from repro.core.safety import SafetyLevel
 from repro.runtime.klass import FieldKind, field as kfield
 
@@ -65,7 +65,7 @@ ZERO_WORKERS = 8  # gang size for the parallel-zeroing series
 
 def _load_time_ms(heap_dir: Path, safety: SafetyLevel,
                   workers: int = 1) -> float:
-    jvm = Espresso(heap_dir, gc_workers=workers)
+    jvm = Espresso(heap_dir, config=EspressoConfig(gc_workers=workers))
     _define_klasses(jvm)
     _heap, report = jvm.heaps.load_heap_with_report("fig18", safety)
     return report.load_ns / 1e6

@@ -1,4 +1,4 @@
-"""Heap management APIs: createHeap / loadHeap / existsHeap (paper Table 1).
+"""Heap management APIs: create_heap / load_heap / exists_heap (Table 1).
 
 The manager owns the external name manager (name -> durable image), mounts
 PJH devices into the VM's address space at their *address hint*, and drives
@@ -53,7 +53,7 @@ WORD_BYTES = 8
 
 @dataclass
 class LoadReport:
-    """What happened during loadHeap (feeds Figure 18 and the tests)."""
+    """What happened during load_heap (feeds Figure 18 and the tests)."""
 
     heap_name: str = ""
     remapped: bool = False
@@ -71,7 +71,7 @@ class LoadReport:
 
 
 class HeapManager:
-    """createHeap/loadHeap/existsHeap/setRoot/getRoot for one VM."""
+    """create_heap/load_heap/exists_heap/set_root/get_root for one VM."""
 
     def __init__(self, vm: EspressoVM, heap_dir) -> None:
         self.vm = vm
@@ -250,7 +250,7 @@ class HeapManager:
     @publish_point("fleet-routed root binding")
     def set_root(self, root_name: str, value: Optional[ObjectHandle],
                  heap: Optional[str] = None) -> None:
-        """Mark an object as a named entry point (paper Table 1 setRoot)."""
+        """Mark an object as a named entry point (paper Table 1 set_root)."""
         address = obj_layout.NULL if value is None else value.address
         target = self._route(address, heap)
         target.set_root(root_name, address)

@@ -155,7 +155,7 @@ class KlassSegment:
         return self.base_address + top
 
     # ------------------------------------------------------------------
-    # Reinitialisation in place (on loadHeap — paper §3.3)
+    # Reinitialisation in place (on load_heap — paper §3.3)
     # ------------------------------------------------------------------
     def reinitialize_all(self, metaspace) -> int:
         """Rebuild every Klass from its record, registered at its old address.

@@ -618,7 +618,7 @@ class PersistentHeap(PersistentSpaceService):
         self.frames.reset()
 
     # ------------------------------------------------------------------
-    # Roots API backing (setRoot/getRoot go through the heap manager)
+    # Roots API backing (set_root/get_root go through the heap manager)
     # ------------------------------------------------------------------
     @publish_point("heap root binding")
     def set_root(self, root_name: str, address: int) -> None:

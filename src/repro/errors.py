@@ -54,11 +54,11 @@ class NoSuchFieldException(JavaThrowable):
 
 
 class HeapExistsError(EspressoError):
-    """Raised by ``createHeap`` when the name is already taken."""
+    """Raised by ``create_heap`` when the name is already taken."""
 
 
 class HeapNotFoundError(EspressoError):
-    """Raised by ``loadHeap`` when the name manager has no such heap."""
+    """Raised by ``load_heap`` when the name manager has no such heap."""
 
 
 class HeapCorruptionError(EspressoError):

@@ -95,7 +95,7 @@ def run_sweep(name: str, fault_mode: str = FaultMode.ATOMIC, *,
 # PJH allocation + persistent GC (failpoint sweep, fsck after recovery)
 # ----------------------------------------------------------------------
 def _pjh_harness() -> CrashSweepHarness:
-    from repro.api import Espresso
+    from repro.api import Espresso, EspressoConfig
     from repro.runtime.klass import FieldKind, field
     from repro.tools.fsck import fsck_heap
 
@@ -109,8 +109,8 @@ def _pjh_harness() -> CrashSweepHarness:
 
     def setup():
         tmp = Path(tempfile.mkdtemp(prefix="sweep-pjh-"))
-        jvm = Espresso(tmp / "heaps", observatory=Observatory(),
-                       gc_workers=GC_WORKERS)
+        jvm = Espresso(tmp / "heaps", config=EspressoConfig(
+            observatory=Observatory(), gc_workers=GC_WORKERS))
         node = jvm.define_class("SweepNode", [field("v", FieldKind.INT),
                                               field("next", FieldKind.REF)])
         jvm.create_heap("h", 256 * 1024, region_words=128)
@@ -143,8 +143,8 @@ def _pjh_harness() -> CrashSweepHarness:
 
     def recover(ctx, crashed):
         ctx.jvm.crash()  # power loss: durable image saved, heap unmounted
-        jvm2 = Espresso(ctx.tmp / "heaps", observatory=Observatory(),
-                        gc_workers=GC_WORKERS)
+        jvm2 = Espresso(ctx.tmp / "heaps", config=EspressoConfig(
+            observatory=Observatory(), gc_workers=GC_WORKERS))
         jvm2.load_heap("h")
         return SimpleNamespace(jvm=jvm2, heap=jvm2.heaps.heap("h"),
                                obs=jvm2.obs)
@@ -161,7 +161,7 @@ def _pjh_harness() -> CrashSweepHarness:
                 chain.append(jvm.get_field(cursor, "v"))
                 cursor = jvm.get_field(cursor, "next")
             # The chain is exactly the committed anchors down from its head:
-            # flush_reachable + setRoot published every link before the root.
+            # flush_reachable + set_root published every link before the root.
             head_v = chain[0]
             assert head_v in allowed, chain
             expected = [v for v in reversed(allowed) if v <= head_v]
@@ -379,7 +379,7 @@ _register(SweepSpec("h2_sql", "flush", _h2_harness,
 # pjhlib ACID collections (flush-boundary sweep, fsck after recovery)
 # ----------------------------------------------------------------------
 def _pjhlib_harness() -> CrashSweepHarness:
-    from repro.api import Espresso
+    from repro.api import Espresso, EspressoConfig
     from repro.pjhlib import PjhHashmap, PjhLong, PjhTransaction
 
     def expected_final():
@@ -392,8 +392,8 @@ def _pjhlib_harness() -> CrashSweepHarness:
 
     def setup():
         tmp = Path(tempfile.mkdtemp(prefix="sweep-pjhlib-"))
-        jvm = Espresso(tmp / "heaps", observatory=Observatory(),
-                       gc_workers=GC_WORKERS)
+        jvm = Espresso(tmp / "heaps", config=EspressoConfig(
+            observatory=Observatory(), gc_workers=GC_WORKERS))
         jvm.create_heap("kv", 2 * 1024 * 1024)
         txn = PjhTransaction(jvm)
         table = PjhHashmap(jvm, txn)
@@ -414,8 +414,8 @@ def _pjhlib_harness() -> CrashSweepHarness:
 
     def recover(ctx, crashed):
         ctx.jvm.crash()
-        jvm = Espresso(ctx.tmp / "heaps", observatory=Observatory(),
-                        gc_workers=GC_WORKERS)
+        jvm = Espresso(ctx.tmp / "heaps", config=EspressoConfig(
+            observatory=Observatory(), gc_workers=GC_WORKERS))
         jvm.load_heap("kv")
         txn = PjhTransaction.reattach(jvm, jvm.get_root("txn_entries"),
                                       jvm.get_root("txn_meta"))
@@ -517,7 +517,7 @@ _register(SweepSpec("pcj_nvml", "flush", _pcj_harness,
 # PJO commit path: dedup + field tracking on (flush-boundary sweep)
 # ----------------------------------------------------------------------
 def _pjo_harness() -> CrashSweepHarness:
-    from repro.api import Espresso
+    from repro.api import Espresso, EspressoConfig
     from repro.jpab.model import BasicPerson
     from repro.pjo import PjoEntityManager
 
@@ -526,8 +526,8 @@ def _pjo_harness() -> CrashSweepHarness:
 
     def setup():
         tmp = Path(tempfile.mkdtemp(prefix="sweep-pjo-"))
-        jvm = Espresso(tmp / "heaps", observatory=Observatory(),
-                       gc_workers=GC_WORKERS)
+        jvm = Espresso(tmp / "heaps", config=EspressoConfig(
+            observatory=Observatory(), gc_workers=GC_WORKERS))
         jvm.create_heap("jpab", 4 * 1024 * 1024)
         em = PjoEntityManager(jvm)  # dedup + field tracking are the defaults
         em.create_schema([BasicPerson])
@@ -553,8 +553,8 @@ def _pjo_harness() -> CrashSweepHarness:
 
     def recover(ctx, crashed):
         ctx.jvm.crash()
-        jvm = Espresso(ctx.tmp / "heaps", observatory=Observatory(),
-                        gc_workers=GC_WORKERS)
+        jvm = Espresso(ctx.tmp / "heaps", config=EspressoConfig(
+            observatory=Observatory(), gc_workers=GC_WORKERS))
         jvm.load_heap("jpab")
         em = PjoEntityManager(jvm)  # backend reattaches + recovers the log
         return SimpleNamespace(jvm=jvm, em=em, heap=jvm.heaps.heap("jpab"),
@@ -602,7 +602,7 @@ _register(SweepSpec("pjo_commit", "flush", _pjo_harness,
 def _mixed_harness() -> CrashSweepHarness:
     """Epoch coalescing must hold when two domains interleave.
 
-    Each round anchors a new PJH node (flush_reachable + setRoot, its own
+    Each round anchors a new PJH node (flush_reachable + set_root, its own
     domain epochs) and then commits an H2 insert recording the round (WAL
     payload/counter epochs on a different device).  The flush bomb counts
     clflush calls globally across both devices, so every interleaving of
@@ -611,7 +611,7 @@ def _mixed_harness() -> CrashSweepHarness:
     cross-layer ordering (row *i* durable implies anchor *i* durable)
     catches coalescing that reorders work between the subsystems.
     """
-    from repro.api import Espresso
+    from repro.api import Espresso, EspressoConfig
     from repro.h2.engine import Database
     from repro.runtime.klass import FieldKind, field
 
@@ -620,7 +620,8 @@ def _mixed_harness() -> CrashSweepHarness:
     def setup():
         tmp = Path(tempfile.mkdtemp(prefix="sweep-mixed-"))
         obs = Observatory()
-        jvm = Espresso(tmp / "heaps", observatory=obs, gc_workers=GC_WORKERS)
+        jvm = Espresso(tmp / "heaps", config=EspressoConfig(
+            observatory=obs, gc_workers=GC_WORKERS))
         node = jvm.define_class("MixNode", [field("v", FieldKind.INT),
                                             field("next", FieldKind.REF)])
         jvm.create_heap("h", 256 * 1024, region_words=128)
@@ -653,8 +654,8 @@ def _mixed_harness() -> CrashSweepHarness:
         obs = Observatory()
         # Reuse the shared clock so the recovered JVM and DB keep one
         # coherent timeline (db.crash() rebinds obs to the same clock).
-        jvm2 = Espresso(ctx.tmp / "heaps", clock=ctx.db.clock,
-                        observatory=obs, gc_workers=GC_WORKERS)
+        jvm2 = Espresso(ctx.tmp / "heaps", config=EspressoConfig(
+            clock=ctx.db.clock, observatory=obs, gc_workers=GC_WORKERS))
         jvm2.load_heap("h")
         return SimpleNamespace(jvm=jvm2, db=ctx.db.crash(obs=obs),
                                heap=jvm2.heaps.heap("h"), obs=obs)
@@ -1011,15 +1012,16 @@ _register(SweepSpec("fleet_failover", "flush", _fleet_harness,
 # contended multi-mutator schedule.
 # ----------------------------------------------------------------------
 def _concurrent_kv_harness() -> CrashSweepHarness:
-    from repro.api import Espresso
+    from repro.api import Espresso, EspressoConfig
     from repro.workloads.concurrent_kv import ConcurrentKvWorkload
 
     MUTATORS = 3
 
     def setup():
         tmp = Path(tempfile.mkdtemp(prefix="sweep-ckv-"))
-        jvm = Espresso(tmp / "heaps", observatory=Observatory(),
-                       gc_workers=GC_WORKERS, mutators=MUTATORS)
+        jvm = Espresso(tmp / "heaps", config=EspressoConfig(
+            observatory=Observatory(), gc_workers=GC_WORKERS,
+            mutators=MUTATORS))
         jvm.create_heap("kv", 2 * 1024 * 1024)
         workload = ConcurrentKvWorkload(jvm, mutators=MUTATORS,
                                         ops_per_mutator=5, key_space=3,
@@ -1032,8 +1034,9 @@ def _concurrent_kv_harness() -> CrashSweepHarness:
 
     def recover(ctx, crashed):
         ctx.jvm.crash()
-        jvm = Espresso(ctx.tmp / "heaps", observatory=Observatory(),
-                       gc_workers=GC_WORKERS, mutators=MUTATORS)
+        jvm = Espresso(ctx.tmp / "heaps", config=EspressoConfig(
+            observatory=Observatory(), gc_workers=GC_WORKERS,
+            mutators=MUTATORS))
         jvm.load_heap("kv")
         return SimpleNamespace(jvm=jvm, workload=ctx.workload,
                                heap=jvm.heaps.heap("kv"), obs=jvm.obs)

@@ -39,7 +39,6 @@ of this — see :mod:`repro.fleet.directory`.
 
 from __future__ import annotations
 
-import warnings
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -155,28 +154,8 @@ class FleetRouter:
             clock=clock, observatory=obs, gc_workers=config.gc_workers,
             mutators=config.mutators))
 
-    @staticmethod
-    def _accept_legacy(method: str, legacy: tuple, config, clock):
-        """Map pre-redesign positional (config, clock) args, warning once
-        per call site style (keyword-only is the one config path shared
-        with :meth:`Espresso.open`)."""
-        if not legacy:
-            return config, clock
-        if len(legacy) > 2:
-            raise TypeError(
-                f"FleetRouter.{method}() takes at most 2 positional "
-                f"arguments after fleet_dir, got {len(legacy)}")
-        warnings.warn(
-            f"FleetRouter.{method}(fleet_dir, config, clock) with "
-            f"positional arguments is deprecated; pass config= and "
-            f"clock= as keywords",
-            DeprecationWarning, stacklevel=3)
-        provided = dict(zip(("config", "clock"), legacy))
-        return (provided.get("config", config),
-                provided.get("clock", clock))
-
     @classmethod
-    def create(cls, fleet_dir, *legacy,
+    def create(cls, fleet_dir, *,
                config: Optional[FleetConfig] = None,
                clock: Optional[Clock] = None) -> "FleetRouter":
         """Create a fresh fleet: directory heap first, then K shards.
@@ -185,7 +164,6 @@ class FleetRouter:
         crash mid-create leaves a directory that either does not list
         the shard or lists a fully created one.
         """
-        config, clock = cls._accept_legacy("create", legacy, config, clock)
         config = config if config is not None else FleetConfig()
         if config.shards < 1:
             raise IllegalArgumentException(
@@ -211,7 +189,7 @@ class FleetRouter:
                    fleet_obs)
 
     @classmethod
-    def load(cls, fleet_dir, *legacy,
+    def load(cls, fleet_dir, *,
              config: Optional[FleetConfig] = None,
              clock: Optional[Clock] = None) -> "FleetRouter":
         """Mount an existing fleet; shard heaps load on a worker gang.
@@ -219,7 +197,6 @@ class FleetRouter:
         The durable directory is the source of truth for shard count and
         size — ``config.shards`` is overwritten from it.
         """
-        config, clock = cls._accept_legacy("load", legacy, config, clock)
         config = config if config is not None else FleetConfig()
         clock = clock if clock is not None else Clock()
         fleet_obs = Observatory()

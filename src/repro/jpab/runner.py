@@ -69,8 +69,9 @@ def make_pjo_em(clock: Clock, entities, heap_dir,
                 obs: Observatory = NULL_OBS,
                 certify: bool = False,
                 alloc_buffer_words: Optional[int] = None) -> PjoEntityManager:
-    from repro.api import Espresso
-    jvm = Espresso(heap_dir, clock=clock, observatory=obs)
+    from repro.api import Espresso, EspressoConfig
+    jvm = Espresso(heap_dir, config=EspressoConfig(
+        clock=clock, observatory=obs))
     if alloc_buffer_words is not None:
         # Pin the TLAB size before any allocation (0 = the per-object
         # §4.1 top-persist protocol, the pre-buffer baseline).

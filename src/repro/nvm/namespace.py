@@ -4,7 +4,7 @@ Paper §3.3: *"We have implemented an external name manager responsible for
 the mapping between the real data of PJH instances and their names."*
 
 Here the manager maps heap names to durable-image files on disk (standing in
-for NVDIMM-backed DAX files).  ``createHeap`` registers a name; when a
+for NVDIMM-backed DAX files).  ``create_heap`` registers a name; when a
 "JVM" saves its image, the NVM device's durable array is written out; a later
 process (or a reloaded VM in the same process) finds the image by name.
 

@@ -238,7 +238,7 @@ class EspressoVM:
     def current_persistent_space(self) -> PersistentSpaceService:
         if self._current_service is None:
             raise IllegalStateException(
-                "no persistent heap attached; call createHeap/loadHeap first")
+                "no persistent heap attached; call create_heap/load_heap first")
         return self._current_service
 
     def in_pjh(self, address: int) -> bool:

@@ -43,8 +43,9 @@ def _make_em(provider: str, clock: Clock, heap_dir: Path,
     if provider == "jpa":
         database = Database(size_words=1 << 22, clock=clock, obs=obs)
         return JpaEntityManager(database)
-    from repro.api import Espresso
-    jvm = Espresso(heap_dir, clock=clock, observatory=obs)
+    from repro.api import Espresso, EspressoConfig
+    jvm = Espresso(heap_dir, config=EspressoConfig(
+        clock=clock, observatory=obs))
     if alloc_buffer_words is not None:
         # 0 = the per-object §4.1 top-persist protocol (no TLABs) — the
         # epoch-coalescing-only baseline the benches compare against.

@@ -180,11 +180,11 @@ def run_smoke(mutators: int = 2, ops_per_mutator: int = 16,
     from pathlib import Path
 
     from repro.analysis.hazards import analyze_trace
-    from repro.api import Espresso
+    from repro.api import open_heap
     from repro.tools.fsck import fsck_heap
 
     tmp = Path(tempfile.mkdtemp(prefix="concurrent-kv-"))
-    jvm = Espresso.open(tmp / "heaps", "kv", size_bytes=4 * 1024 * 1024)
+    jvm = open_heap(tmp / "heaps", "kv", size_bytes=4 * 1024 * 1024)
     heap = jvm.heaps.heap("kv")
     log = heap.enable_event_log("concurrent_kv")
     workload = ConcurrentKvWorkload(jvm, mutators=mutators,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from repro.analysis.closure import analyze_vm
 from repro.analysis.diagnostics import AnalysisReport
-from repro.api import Espresso
+from repro.api import Espresso, EspressoConfig
 from repro.runtime.klass import FieldKind, field
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -24,7 +24,7 @@ def run_cli(*args):
 
 
 def schema_report_json(tmp_path, gc_workers: int) -> str:
-    jvm = Espresso(tmp_path, gc_workers=gc_workers)
+    jvm = Espresso(tmp_path, config=EspressoConfig(gc_workers=gc_workers))
     jvm.define_class("Leaf", [field("data", FieldKind.REF, declared="[J")])
     jvm.define_class("Person", [
         field("id", FieldKind.INT),

@@ -5,7 +5,7 @@ trace (the real allocation + publication protocol) must come back clean.
 """
 
 from repro.analysis.hazards import analyze_trace
-from repro.api import Espresso
+from repro.api import Espresso, EspressoConfig
 from repro.nvm.persist import PersistEventLog
 from repro.runtime.klass import FieldKind, field
 
@@ -365,7 +365,7 @@ class TestRacyPublish:
         gang replays with zero findings — including ESP205."""
         from repro.workloads.concurrent_kv import ConcurrentKvWorkload
 
-        jvm = Espresso(tmp_path / "heaps", mutators=3)
+        jvm = Espresso(tmp_path / "heaps", config=EspressoConfig(mutators=3))
         jvm.create_heap("kv", 2 * 1024 * 1024)
         heap = jvm.heaps.heap("kv")
         log = heap.enable_event_log()

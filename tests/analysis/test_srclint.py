@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 from repro.analysis.srclint import (
     ALL_RULES,
+    PERSIST_EXEMPT,
     PERSIST_RULES,
     SESSION_RULES,
+    TIME_EXEMPT,
     TIME_RULES,
     lint_paths,
 )
@@ -88,7 +89,7 @@ class TestEsp305ModuleState:
         assert self._lint(tmp_path, source, rel="repro/fleet/router.py") != []
         assert self._lint(tmp_path, source, rel="repro/api.py") != []
         assert self._lint(tmp_path, source,
-                          rel="repro/tools/lint_persist.py") != []
+                          rel="repro/tools/fsck.py") != []
         assert self._lint(tmp_path, source,
                           rel="repro/workloads/concurrent_kv.py") != []
         assert self._lint(tmp_path, source,
@@ -127,10 +128,16 @@ class TestRules:
         assert [f.code for f in lint_paths([tmp_path])] == ["ESP302"]
 
     def test_wallclock_read_flagged(self, tmp_path):
-        write_tree(tmp_path, {"a.py": "import time\nt = time.time()\n"})
+        write_tree(tmp_path, {"a.py": ("import time\n"
+                                       "t = time.time()\n"
+                                       "t = time.perf_counter_ns()\n"
+                                       "m = time.monotonic()\n")})
         findings = lint_paths([tmp_path])
-        assert [f.code for f in findings] == ["ESP303"]
-        assert findings[0].reason == "wall-clock time.time"
+        assert [(f.code, f.lineno, f.reason) for f in findings] == [
+            ("ESP303", 2, "wall-clock time.time"),
+            ("ESP303", 3, "wall-clock time.perf_counter"),
+            ("ESP303", 4, "wall-clock time.monotonic"),
+        ]
 
     def test_strings_and_comments_are_immune(self, tmp_path):
         """The advantage over the regex lint: no false positives on
@@ -145,10 +152,20 @@ class TestRules:
         write_tree(tmp_path, {"a.py": "domain.fence()\nheap.fence()\n"})
         assert lint_paths([tmp_path]) == []
 
+    def test_exemptions_are_the_persist_and_fault_layers_only(self):
+        # The exemption lists are part of the contract: widening one
+        # should be a conscious, reviewed decision.
+        assert PERSIST_EXEMPT == ("repro/nvm/", "repro/faults/")
+
+    def test_exemptions_are_the_clock_and_obs_layers_only(self):
+        assert TIME_EXEMPT == ("repro/nvm/clock.py", "repro/obs/")
+
     def test_exempt_paths_skipped_per_rule_family(self, tmp_path):
         write_tree(tmp_path, {
             "repro/nvm/x.py": "device.clflush(0)\nt = time.time()\n",
             "repro/nvm/clock.py": "t = time.time()\n",
+            "repro/faults/y.py": "device.clflush(0)\ndevice.fence()\n",
+            "repro/obs/z.py": "t = time.monotonic()\n",
         })
         findings = lint_paths([tmp_path])
         # nvm/ is exempt from the persist rules but NOT the time rule;
@@ -214,61 +231,3 @@ class TestCli:
         assert proc.returncode == 0
         for code in ("ESP101", "ESP201", "ESP301"):
             assert code in proc.stdout
-
-
-class TestLegacyWrappers:
-    def test_find_violations_legacy_shape(self, tmp_path):
-        from repro.tools.lint_persist import find_violations
-        write_tree(tmp_path, {"a.py": "device.clflush(0)\n"})
-        assert find_violations(tmp_path) \
-            == [("a.py", 1, "device.clflush(0)", "raw clflush call")]
-
-    def test_find_violations_does_not_warn(self, tmp_path):
-        """pytest promotes DeprecationWarning to error: the library entry
-        point must stay silent (only the CLI warns)."""
-        from repro.tools.lint_time import find_violations
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            find_violations(tmp_path)
-
-    def test_legacy_main_warns_once(self, tmp_path, capsys):
-        from repro.tools import lint_persist
-        lint_persist.reset_deprecation_warning()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert lint_persist.main([str(tmp_path)]) == 0
-            assert lint_persist.main([str(tmp_path)]) == 0
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "repro.analysis" in str(deprecations[0].message)
-        capsys.readouterr()
-
-    def test_legacy_main_raises_on_every_call_under_error_filter(
-            self, tmp_path, capsys):
-        """``-W error::DeprecationWarning`` must fail every invocation,
-        not only the first: marking the one-shot flag before the warn
-        would swallow all later errors."""
-        import pytest
-
-        from repro.tools import lint_persist, lint_time
-        for mod in (lint_persist, lint_time):
-            mod.reset_deprecation_warning()
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                for _ in range(2):
-                    with pytest.raises(DeprecationWarning,
-                                       match="repro.analysis"):
-                        mod.main([str(tmp_path)])
-        capsys.readouterr()
-
-    def test_legacy_main_output_format(self, tmp_path, capsys):
-        from repro.tools import lint_time
-        lint_time.reset_deprecation_warning()
-        write_tree(tmp_path, {"a.py": "t = time.time()\n"})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert lint_time.main([str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "a.py:1: wall-clock time.time: t = time.time()" in out
-        assert "lint-time: 1 violation(s)" in out

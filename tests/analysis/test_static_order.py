@@ -41,11 +41,6 @@ EXPECTED = {
     "bad_esp505_callgraph_escape.py": "ESP505",
 }
 
-#: rules that survive --no-interprocedural (no call summaries, so the
-#: whole-call-graph rules ESP501/ESP505 are disabled as unsound).
-INTRA_RULES = {"ESP502", "ESP503", "ESP504"}
-
-
 def run_cli(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -63,8 +58,7 @@ def codes_by_file(result):
 
 @pytest.fixture(scope="module")
 def fixture_result():
-    return analyze_paths(paths=[FIXTURES], assumptions=Assumptions.empty(),
-                         interprocedural=True)
+    return analyze_paths(paths=[FIXTURES], assumptions=Assumptions.empty())
 
 
 def test_fixture_corpus_is_large_enough():
@@ -94,23 +88,12 @@ def test_all_five_rules_are_exercised(fixture_result):
     assert codes == {"ESP501", "ESP502", "ESP503", "ESP504", "ESP505"}
 
 
-def test_fast_mode_keeps_only_intraprocedural_rules():
-    fast = analyze_paths(paths=[FIXTURES], assumptions=Assumptions.empty(),
-                         interprocedural=False)
-    found = codes_by_file(fast)
-    assert {c for cs in found.values() for c in cs} <= INTRA_RULES
-    for name, code in EXPECTED.items():
-        if code in INTRA_RULES:
-            assert found.get(name) == {code}
-
-
 def test_in_tree_durable_subsystems_are_clean():
     """The acceptance contract: zero findings on the repo's own durable
     code under the checked-in assumptions file, and every assumption
     entry is actually used (no rot)."""
     assumptions = load_assumptions(REPO_ROOT / "analysis-assumptions.json")
-    result = analyze_paths(repo_root=REPO_ROOT, assumptions=assumptions,
-                           interprocedural=True)
+    result = analyze_paths(repo_root=REPO_ROOT, assumptions=assumptions)
     assert [d.render() for d in result.diagnostics()] == []
     summary = result.summary()
     assert summary["unused_assumptions"] == []

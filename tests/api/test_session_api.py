@@ -1,17 +1,16 @@
-"""The redesigned Espresso session API: surface, aliases, config carry.
+"""The Espresso session API: surface, config ownership, config carry.
 
 Three contracts pinned here:
 
-* the canonical public surface (names + signatures) is a reviewed
-  artifact — adding, removing or reshaping a method must show up as a
-  diff in ``EXPECTED_SURFACE``;
-* every Java-spelled Table 1 alias still works, warns exactly once per
-  process with ``DeprecationWarning``, and delegates to its snake_case
-  canonical twin;
+* the public surface (names + signatures, including the keyword-only
+  ``config=`` way in) is a reviewed artifact — adding, removing or
+  reshaping a method must show up as a diff in ``EXPECTED_SURFACE``;
+* a session owns a private copy of its ``EspressoConfig``, so one config
+  can seed many sessions without them sharing registries;
 * ``restart()`` / ``restart(crash=True)`` carry the *full* session
   config — clock, latency, heap config, alias awareness, observatory,
   ``gc_workers``, ``mutators`` — instead of silently resetting knobs to
-  defaults (``crash_and_restart()`` remains as a warning shim).
+  defaults.
 """
 
 import inspect
@@ -20,20 +19,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import Espresso, EspressoConfig
+from repro.api import Espresso, EspressoConfig, open_heap
+from repro.fleet import FleetRouter
 from repro.nvm.clock import Clock
 from repro.nvm.latency import LatencyConfig
 from repro.obs import NULL_OBS, Observatory
 from repro.runtime.dram_heap import HeapConfig
 from repro.runtime.klass import FieldKind, field
 
-# The canonical surface: public method name -> parameter names
-# (self excluded).  Java aliases are listed separately below.
+# The public surface: method name -> parameter names (self and cls
+# excluded).  Keyword-only parameters are marked with a leading "*".
 EXPECTED_SURFACE = {
-    "open": ["heap_dir", "name", "legacy", "size_bytes", "safety",
-             "region_words", "config"],
-    "session": ["heap_dir", "name", "size_bytes", "safety",
-                "region_words", "config"],
+    "__init__": ["heap_dir", "*config"],
+    "session": ["heap_dir", "name", "*size_bytes", "*safety",
+                "*region_words", "*config"],
     "define_class": ["name", "fields", "super_klass"],
     "new": ["klass"],
     "new_array": ["element", "length"],
@@ -64,49 +63,40 @@ EXPECTED_SURFACE = {
     "system_gc": [],
     "persistent_gc": ["heap"],
     "persistent_type": ["target"],
-    "reset_deprecation_warnings": [],
     "register_task": ["name", "fn"],
     "resumable_task": ["name", "heap"],
     "shutdown": [],
     "crash": [],
     "restart": ["crash"],
-    "crash_and_restart": [],
     "mutator_gang": ["seed", "mutators"],
 }
 
-JAVA_ALIASES = {
-    "createHeap": "create_heap",
-    "loadHeap": "load_heap",
-    "existsHeap": "exists_heap",
-    "setRoot": "set_root",
-    "getRoot": "get_root",
+#: The sharded way in: everything after ``fleet_dir`` is keyword-only.
+EXPECTED_FLEET_SURFACE = {
+    "create": ["fleet_dir", "*config", "*clock"],
+    "load": ["fleet_dir", "*config", "*clock"],
 }
 
 
 def _params(func):
-    return [p for p in inspect.signature(func).parameters if p != "self"]
+    return [("*" if p.kind is p.KEYWORD_ONLY else "") + name
+            for name, p in inspect.signature(func).parameters.items()
+            if name not in ("self", "cls")]
 
 
 def test_api_surface_snapshot():
     surface = {}
     for name, member in vars(Espresso).items():
-        if name.startswith("_") or name in JAVA_ALIASES:
+        if name.startswith("_") and name != "__init__":
             continue
         if isinstance(member, property):
             continue
         func = member.__func__ if isinstance(member, classmethod) else member
         if callable(func):
-            params = _params(func)
-            if isinstance(member, classmethod):
-                params = [p for p in params if p != "cls"]
-            surface[name] = params
+            surface[name] = _params(func)
     assert surface == EXPECTED_SURFACE
-
-
-def test_java_aliases_share_canonical_signatures():
-    for java, snake in JAVA_ALIASES.items():
-        assert _params(getattr(Espresso, java)) \
-            == _params(getattr(Espresso, snake)), java
+    assert {name: _params(getattr(FleetRouter, name))
+            for name in EXPECTED_FLEET_SURFACE} == EXPECTED_FLEET_SURFACE
 
 
 def test_properties_exposed():
@@ -120,77 +110,6 @@ def test_config_dataclass_fields():
             "gc_workers", "mutators", "safety_certificate",
             "elision_certificate", "alloc_buffer_words", "resumable",
             "task_registry", "persistent_types"]
-
-
-def test_each_alias_warns_once_and_delegates(tmp_path):
-    jvm = Espresso(tmp_path / "heaps")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        jvm.createHeap("h", 64 * 1024)
-        assert jvm.existsHeap("h")
-        assert not jvm.existsHeap("nope")        # second call: no new warning
-        node = jvm.define_class("N", [field("v", FieldKind.INT)])
-        n = jvm.pnew(node)
-        jvm.setRoot("r", n)
-        assert jvm.getRoot("r") is not None
-        jvm2 = jvm.restart()
-        jvm2.loadHeap("h")
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    messages = sorted(str(w.message).split("(")[0] for w in deprecations)
-    # one warning per distinct alias, regardless of call count
-    assert len(deprecations) == 5, messages
-    for java, snake in JAVA_ALIASES.items():
-        assert any(java in str(w.message) and snake in str(w.message)
-                   for w in deprecations), java
-
-
-def test_alias_warns_again_after_reset(tmp_path):
-    jvm = Espresso(tmp_path / "heaps")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        jvm.existsHeap("x")
-        jvm.reset_deprecation_warnings()
-        jvm.existsHeap("x")
-    assert len([w for w in caught
-                if issubclass(w.category, DeprecationWarning)]) == 2
-
-
-def test_alias_warnings_deduped_per_session_not_per_process(tmp_path):
-    """Two live sessions each warn once: the dedup set is per instance."""
-    a = Espresso(tmp_path / "a")
-    b = Espresso(tmp_path / "b")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        a.existsHeap("x")
-        b.existsHeap("x")
-        a.existsHeap("x")
-        b.existsHeap("x")
-    assert len([w for w in caught
-                if issubclass(w.category, DeprecationWarning)]) == 2
-
-
-def test_alias_raises_on_every_call_under_error_filter(tmp_path):
-    """``-W error::DeprecationWarning`` must fail every aliased call:
-    marking the dedup set before the warn would swallow all later
-    errors and silently let legacy spellings back in."""
-    jvm = Espresso(tmp_path / "heaps")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        for _ in range(2):
-            with pytest.raises(DeprecationWarning, match="existsHeap"):
-                jvm.existsHeap("x")
-        with pytest.raises(DeprecationWarning, match="size_bytes="):
-            Espresso.open(tmp_path / "h2", "box", 128 * 1024)
-        with pytest.raises(DeprecationWarning, match="size_bytes="):
-            Espresso.open(tmp_path / "h3", "box", 128 * 1024)
-    # The swallowed-error calls never reached the dedup set, so the
-    # session still owes its one ordinary warning.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        jvm.existsHeap("x")
-    assert len([w for w in caught
-                if issubclass(w.category, DeprecationWarning)]) == 1
 
 
 def test_snake_case_calls_never_warn(tmp_path):
@@ -208,7 +127,7 @@ def test_snake_case_calls_never_warn(tmp_path):
 
 
 def test_open_creates_then_loads(tmp_path):
-    jvm = Espresso.open(tmp_path / "heaps", "box", size_bytes=128 * 1024)
+    jvm = open_heap(tmp_path / "heaps", "box", size_bytes=128 * 1024)
     node = jvm.define_class("N", [field("v", FieldKind.INT)])
     n = jvm.pnew(node)
     jvm.set_field(n, "v", 41)
@@ -216,26 +135,15 @@ def test_open_creates_then_loads(tmp_path):
     jvm.set_root("r", n)
     jvm.shutdown()
 
-    jvm2 = Espresso.open(tmp_path / "heaps", "box")  # exists: no size needed
+    jvm2 = open_heap(tmp_path / "heaps", "box")  # exists: no size needed
     jvm2.define_class("N", [field("v", FieldKind.INT)])
     assert jvm2.get_field(jvm2.get_root("r"), "v") == 41
-
-
-def test_open_positional_size_bytes_warns_once(tmp_path):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        jvm = Espresso.open(tmp_path / "heaps", "box", 128 * 1024)
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "size_bytes=" in str(deprecations[0].message)
-    assert jvm.exists_heap("box")
 
 
 def test_open_missing_heap_without_size_raises(tmp_path):
     from repro.errors import IllegalArgumentException
     with pytest.raises(IllegalArgumentException):
-        Espresso.open(tmp_path / "heaps", "nope")
+        open_heap(tmp_path / "heaps", "nope")
 
 
 def test_session_context_manager_creates_then_loads(tmp_path):
@@ -284,8 +192,9 @@ def test_crash_restart_carries_full_config(tmp_path):
     obs = Observatory()
     latency = LatencyConfig(nvm_read_ns=7, nvm_write_ns=7,
                             clflush_ns=7, sfence_ns=7)
-    jvm = Espresso(tmp_path / "heaps", latency=latency, alias_aware=False,
-                   observatory=obs, gc_workers=3, mutators=4)
+    jvm = Espresso(tmp_path / "heaps", config=EspressoConfig(
+        latency=latency, alias_aware=False, observatory=obs, gc_workers=3,
+        mutators=4))
     jvm.create_heap("h", 64 * 1024)
     jvm2 = jvm.restart(crash=True)
     assert jvm2.config.latency is latency
@@ -299,31 +208,16 @@ def test_crash_restart_carries_full_config(tmp_path):
 
 
 def test_restart_carries_mutators_without_crash(tmp_path):
-    jvm = Espresso(tmp_path / "heaps", mutators=8)
+    jvm = Espresso(tmp_path / "heaps", config=EspressoConfig(mutators=8))
     jvm.create_heap("h", 64 * 1024)
     jvm2 = jvm.restart()
     assert jvm2.config.mutators == 8
     assert jvm2.mutator_gang().n == 8
 
 
-def test_crash_and_restart_shim_warns_once_and_delegates(tmp_path):
-    obs = Observatory()
-    jvm = Espresso(tmp_path / "heaps", observatory=obs, mutators=2)
-    jvm.create_heap("h", 64 * 1024)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        jvm2 = jvm.crash_and_restart()
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "restart(crash=True)" in str(deprecations[0].message)
-    assert jvm2.obs is obs
-    assert jvm2.config.mutators == 2
-
-
 def test_restarted_observatory_rebinds_to_new_clock(tmp_path):
     obs = Observatory()
-    jvm = Espresso(tmp_path / "heaps", observatory=obs)
+    jvm = Espresso(tmp_path / "heaps", config=EspressoConfig(observatory=obs))
     jvm.create_heap("h", 64 * 1024)
     jvm2 = jvm.restart()
     # config.clock was None, so the successor made a fresh Clock; the
@@ -340,3 +234,22 @@ def test_default_session_uses_null_obs(tmp_path):
 def test_heap_dir_kept_as_path(tmp_path):
     jvm = Espresso(str(tmp_path / "heaps"))
     assert isinstance(jvm.heap_dir, Path)
+
+
+def test_shared_config_is_copied_per_session(tmp_path):
+    """One config seeds many sessions; registries filled in lazily stay
+    per session and never write back into the caller's config."""
+    cfg = EspressoConfig(resumable=True)
+    a = Espresso(tmp_path / "a", config=cfg)
+    b = Espresso(tmp_path / "b", config=cfg)
+    a.persistent_type("X")
+    a.register_task("t", lambda task, jvm: None)
+    assert "X" in a.config.persistent_types
+    assert "X" not in b.config.persistent_types
+    assert a.config.persistent_types is not b.config.persistent_types
+    assert b.config.task_registry is None
+    assert cfg.persistent_types is None and cfg.task_registry is None
+    # restart still carries the filled-in registries by reference
+    a2 = a.restart()
+    assert a2.config.persistent_types is a.config.persistent_types
+    assert a2.config.task_registry is a.config.task_registry

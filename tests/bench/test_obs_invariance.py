@@ -7,7 +7,7 @@ untraced one.  Pinned here on fig17 (both providers, all four CRUD
 operations) and on a traced TPC-C run.
 """
 
-from repro.api import Espresso
+from repro.api import Espresso, EspressoConfig
 from repro.bench.fig17_basictest_breakdown import run as run_fig17
 from repro.obs import Observatory
 from repro.runtime.klass import FieldKind, field
@@ -44,7 +44,8 @@ def test_tpcc_identical_with_and_without_tracing(tmp_path):
 
 def _collect_with_workers(root, workers, observatory=None):
     """Build a fixed heap, run one persistent GC with *workers* workers."""
-    jvm = Espresso(root, gc_workers=workers, observatory=observatory)
+    jvm = Espresso(root, config=EspressoConfig(
+        gc_workers=workers, observatory=observatory))
     node = jvm.define_class("Node", [field("v", FieldKind.INT),
                                      field("next", FieldKind.REF)])
     jvm.create_heap("h", 512 * 1024)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Espresso
+from repro.api import Espresso, EspressoConfig
 from repro.errors import ClassCastException
 from repro.runtime.klass import FieldKind, Residence, field
 
@@ -11,7 +11,7 @@ from tests.core.conftest import HEAP_BYTES, define_person
 
 @pytest.fixture
 def mounted_alias_off(heap_dir):
-    jvm = Espresso(heap_dir, alias_aware=False)
+    jvm = Espresso(heap_dir, config=EspressoConfig(alias_aware=False))
     jvm.create_heap("test", HEAP_BYTES)
     return jvm
 

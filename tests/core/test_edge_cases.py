@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import Espresso
+from repro.api import Espresso, EspressoConfig
 from repro.errors import HeapCorruptionError, OutOfMemoryError
 from repro.runtime.dram_heap import HeapConfig
 from repro.runtime.klass import FieldKind, field
@@ -11,10 +11,9 @@ from repro.runtime.klass import FieldKind, field
 
 class TestHugeAllocations:
     def test_humongous_dram_array_goes_to_old(self, tmp_path):
-        jvm = Espresso(tmp_path / "h",
-                       heap_config=HeapConfig(eden_words=512,
-                                              survivor_words=256,
-                                              old_words=16384))
+        jvm = Espresso(tmp_path / "h", config=EspressoConfig(
+            heap_config=HeapConfig(eden_words=512, survivor_words=256,
+                                   old_words=16384)))
         big = jvm.vm.new_array(FieldKind.INT, 2000)  # > eden
         assert jvm.vm.heap.old.contains(big.address)
         jvm.array_set(big, 1999, 7)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Espresso
+from repro.api import Espresso, EspressoConfig
 from repro.errors import SimulatedCrash
 from repro.runtime.dram_heap import HeapConfig
 from repro.runtime.klass import FieldKind, field
@@ -130,11 +130,9 @@ def test_property_graph_survives_gc_without_crash(tmp_path_factory, data):
 
 def test_dram_full_gc_with_region_spanning_objects(tmp_path):
     """The volatile engine also faces big objects (serialized path)."""
-    jvm = Espresso(tmp_path / "h",
-                   heap_config=HeapConfig(eden_words=4096,
-                                          survivor_words=2048,
-                                          old_words=16384,
-                                          region_words=256))
+    jvm = Espresso(tmp_path / "h", config=EspressoConfig(
+        heap_config=HeapConfig(eden_words=4096, survivor_words=2048,
+                               old_words=16384, region_words=256)))
     keep = []
     big = jvm.new_array(FieldKind.INT, 900)  # spans several regions
     for i in range(900):

@@ -9,7 +9,7 @@ bit-identical to the pre-GC flushed state.
 
 import pytest
 
-from repro.api import Espresso
+from repro.api import Espresso, EspressoConfig
 from repro.errors import SimulatedCrash
 
 from tests.core.conftest import define_node
@@ -46,7 +46,7 @@ def build_workload(heap_dir, seed=0):
 
 def verify(heap_dir, lists, gc_workers=1):
     from repro.tools.fsck import fsck_heap
-    jvm = Espresso(heap_dir, gc_workers=gc_workers)
+    jvm = Espresso(heap_dir, config=EspressoConfig(gc_workers=gc_workers))
     heap, report = jvm.heaps.load_heap_with_report("h")
     structure = fsck_heap(heap)
     assert structure.clean, structure.errors
@@ -173,7 +173,7 @@ def test_parallel_gc_crash_recovers_under_any_worker_count(heap_dir):
     workers — recovery is worker-count agnostic (DESIGN.md §12)."""
     import shutil
 
-    jvm = Espresso(heap_dir / "crashed", gc_workers=4)
+    jvm = Espresso(heap_dir / "crashed", config=EspressoConfig(gc_workers=4))
     node = define_node(jvm)
     jvm.create_heap("h", HEAP_BYTES, region_words=REGION_WORDS)
     lists = {}
@@ -204,7 +204,7 @@ def test_parallel_gc_crash_recovers_under_any_worker_count(heap_dir):
         shutil.copytree(heap_dir / "crashed", root)
         report = verify(root, lists, gc_workers=workers)
         assert report.recovery.performed
-        jvm2 = Espresso(root, gc_workers=workers)
+        jvm2 = Espresso(root, config=EspressoConfig(gc_workers=workers))
         heap = jvm2.heaps.load_heap("h")
         images[workers] = heap.device.durable_image().tobytes()
     assert images[1] == images[4]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Espresso
+from repro.api import Espresso, EspressoConfig
 from repro.core.safety import SafetyLevel, TypeBasedPolicy
 from repro.errors import NullPointerException, UnsafePointerError
 from repro.runtime.klass import FieldKind, field
@@ -193,7 +193,7 @@ class TestZeroing:
         for workers, sub in ((1, "w1"), (8, "w8")):
             root = heap_dir / sub
             build(root)
-            jvm2 = Espresso(root, gc_workers=workers)
+            jvm2 = Espresso(root, config=EspressoConfig(gc_workers=workers))
             heap, report = jvm2.heaps.load_heap_with_report(
                 "h", safety=SafetyLevel.ZEROING)
             counts.append(report.nullified_pointers)

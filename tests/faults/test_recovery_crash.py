@@ -44,7 +44,8 @@ def _save_partial_recovery(jvm, name: str) -> None:
 class TestCrashDuringGcRecovery:
     def _build_crashed_heap(self, tmp):
         """A heap durably mid-collection: crashed mid-compact."""
-        jvm = Espresso(tmp / "heaps", observatory=Observatory())
+        jvm = Espresso(tmp / "heaps", config=EspressoConfig(
+            observatory=Observatory()))
         node = jvm.define_class("RNode", [field("v", FieldKind.INT),
                                           field("next", FieldKind.REF)])
         jvm.create_heap("h", 256 * 1024, region_words=128)
@@ -67,7 +68,8 @@ class TestCrashDuringGcRecovery:
         return jvm
 
     def _fresh(self, tmp):
-        jvm = Espresso(tmp / "heaps", observatory=Observatory())
+        jvm = Espresso(tmp / "heaps", config=EspressoConfig(
+            observatory=Observatory()))
         jvm.define_class("RNode", [field("v", FieldKind.INT),
                                    field("next", FieldKind.REF)])
         return jvm

@@ -260,19 +260,9 @@ class TestSessionApi:
         gang = fleet.shards[0].jvm.mutator_gang()
         assert gang.n == 4
 
-    def test_positional_config_warns_once(self, tmp_path):
-        import warnings
-
-        with pytest.warns(DeprecationWarning, match="config"):
-            fleet = FleetRouter.create(
-                tmp_path / "fleet",
-                FleetConfig(shards=1, shard_size_bytes=512 * 1024))
-        fleet.put("a", "k", "v")
-        fleet.shutdown()
-        with pytest.warns(DeprecationWarning, match="config"):
-            FleetRouter.load(tmp_path / "fleet", FleetConfig(shards=1))
-
     def test_too_many_positionals_rejected(self, tmp_path):
-        with pytest.raises(TypeError):
-            FleetRouter.create(tmp_path / "fleet",
-                               FleetConfig(shards=1), None, "extra")
+        """config= and clock= are keyword-only after fleet_dir."""
+        for method in (FleetRouter.create, FleetRouter.load):
+            with pytest.raises(TypeError):
+                method(tmp_path / "fleet", FleetConfig(shards=1))
+        assert not (tmp_path / "fleet").exists()

@@ -9,7 +9,7 @@ application using both the fine-grained and coarse-grained models — the
 
 import pytest
 
-from repro.api import Espresso
+from repro.api import Espresso, EspressoConfig
 from repro.core.safety import (SafetyLevel, is_marked_persistent,
                                persistent_type)
 from repro.errors import SimulatedCrash, UnsafePointerError
@@ -63,11 +63,9 @@ class TestGcInterplay:
     def test_dram_pressure_with_live_pjh_references(self, tmp_path):
         """Heavy DRAM churn with PJH objects referencing DRAM and vice
         versa: both collectors must cooperate through the remembered sets."""
-        jvm = Espresso(tmp_path / "h",
-                       heap_config=HeapConfig(eden_words=1024,
-                                              survivor_words=512,
-                                              old_words=8192,
-                                              region_words=512))
+        jvm = Espresso(tmp_path / "h", config=EspressoConfig(
+            heap_config=HeapConfig(eden_words=1024, survivor_words=512,
+                                   old_words=8192, region_words=512)))
         node = jvm.define_class("N", [field("v", FieldKind.INT),
                                       field("ref", FieldKind.REF)])
         jvm.create_heap("x", 1024 * 1024)

@@ -8,7 +8,7 @@ fsck structural validity at every reload.
 
 import random
 
-from repro.api import Espresso
+from repro.api import Espresso, EspressoConfig
 from repro.runtime.dram_heap import HeapConfig
 from repro.runtime.klass import FieldKind, field
 from repro.tools.fsck import fsck_heap
@@ -21,11 +21,10 @@ STEPS_PER_ROUND = 180
 def test_soak_mixed_workload(tmp_path):
     rng = random.Random(SEED)
     heap_dir = tmp_path / "soak"
-    jvm = Espresso(heap_dir,
-                   heap_config=HeapConfig(eden_words=2048,
-                                          survivor_words=1024,
-                                          old_words=32768,
-                                          region_words=512))
+    config = EspressoConfig(heap_config=HeapConfig(
+        eden_words=2048, survivor_words=1024, old_words=32768,
+        region_words=512))
+    jvm = Espresso(heap_dir, config=config)
     node = jvm.define_class("SoakNode", [field("v", FieldKind.INT),
                                          field("ref", FieldKind.REF)])
     jvm.create_heap("soak", 4 * 1024 * 1024, region_words=256)
@@ -77,11 +76,7 @@ def test_soak_mixed_workload(tmp_path):
             jvm.crash()
         else:
             jvm.shutdown()
-        jvm = Espresso(heap_dir,
-                       heap_config=HeapConfig(eden_words=2048,
-                                              survivor_words=1024,
-                                              old_words=32768,
-                                              region_words=512))
+        jvm = Espresso(heap_dir, config=config)
         node = jvm.define_class("SoakNode", [field("v", FieldKind.INT),
                                              field("ref", FieldKind.REF)])
         heap = jvm.load_heap("soak")

@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from repro.api import Espresso
+from repro.api import Espresso, EspressoConfig
 from repro.obs import Observatory
 from repro.runtime.mutators import MutatorGang
 from repro.workloads.concurrent_kv import ConcurrentKvWorkload
@@ -116,7 +116,7 @@ class TestPauseAccounting:
     def test_pause_is_max_not_sum(self, tmp_path):
         """With real heap traffic split over 4 mutators the committed
         pause is the busiest mutator's time, far below the sum."""
-        jvm = Espresso(tmp_path / "heaps", mutators=4)
+        jvm = Espresso(tmp_path / "heaps", config=EspressoConfig(mutators=4))
         jvm.create_heap("kv", 2 * 1024 * 1024)
         workload = ConcurrentKvWorkload(jvm, mutators=4,
                                         ops_per_mutator=6, seed=2)
@@ -130,8 +130,8 @@ class TestPauseAccounting:
 # Determinism: image, history and timelines
 # ----------------------------------------------------------------------
 def _contended_run(where, seed, gc_workers=1, mutators=3):
-    jvm = Espresso(where, observatory=Observatory(),
-                   gc_workers=gc_workers, mutators=mutators)
+    jvm = Espresso(where, config=EspressoConfig(
+        observatory=Observatory(), gc_workers=gc_workers, mutators=mutators))
     jvm.create_heap("kv", 2 * 1024 * 1024)
     workload = ConcurrentKvWorkload(jvm, mutators=mutators,
                                     ops_per_mutator=6, key_space=3,

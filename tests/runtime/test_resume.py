@@ -241,7 +241,7 @@ class TestCrashResume:
         _define(jvm2)
         jvm2.load_heap("h")
         assert jvm2.resumable_task("build").status == "running"
-        # crash_and_restart carries the observatory, so diff against a
+        # restart(crash=True) carries the observatory, so diff against a
         # post-restart snapshot to count only the replay.
         snap = _counters(jvm2)
         assert jvm2.resumable_task("build").run(N) == EXPECTED

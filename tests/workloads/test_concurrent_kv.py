@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Espresso
+from repro.api import Espresso, EspressoConfig
 from repro.workloads.concurrent_kv import (
     ConcurrentKvWorkload,
     KvOp,
@@ -91,7 +91,7 @@ class TestChecker:
 
 class TestWorkload:
     def test_crash_free_cycle_checks_clean(self, tmp_path):
-        jvm = Espresso(tmp_path / "heaps", mutators=3)
+        jvm = Espresso(tmp_path / "heaps", config=EspressoConfig(mutators=3))
         jvm.create_heap("kv", 2 * 1024 * 1024)
         workload = ConcurrentKvWorkload(jvm, mutators=3,
                                         ops_per_mutator=6, seed=3)
