@@ -8,10 +8,8 @@ from pathlib import Path
 
 from repro.analysis.srclint import (
     ALL_RULES,
-    PERSIST_EXEMPT,
     PERSIST_RULES,
     SESSION_RULES,
-    TIME_EXEMPT,
     TIME_RULES,
     lint_paths,
 )
@@ -151,14 +149,6 @@ class TestRules:
     def test_domain_fence_is_legal(self, tmp_path):
         write_tree(tmp_path, {"a.py": "domain.fence()\nheap.fence()\n"})
         assert lint_paths([tmp_path]) == []
-
-    def test_exemptions_are_the_persist_and_fault_layers_only(self):
-        # The exemption lists are part of the contract: widening one
-        # should be a conscious, reviewed decision.
-        assert PERSIST_EXEMPT == ("repro/nvm/", "repro/faults/")
-
-    def test_exemptions_are_the_clock_and_obs_layers_only(self):
-        assert TIME_EXEMPT == ("repro/nvm/clock.py", "repro/obs/")
 
     def test_exempt_paths_skipped_per_rule_family(self, tmp_path):
         write_tree(tmp_path, {

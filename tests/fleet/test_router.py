@@ -260,9 +260,14 @@ class TestSessionApi:
         gang = fleet.shards[0].jvm.mutator_gang()
         assert gang.n == 4
 
-    def test_too_many_positionals_rejected(self, tmp_path):
+    def test_positional_config_raises_type_error(self, tmp_path):
         """config= and clock= are keyword-only after fleet_dir."""
         for method in (FleetRouter.create, FleetRouter.load):
             with pytest.raises(TypeError):
                 method(tmp_path / "fleet", FleetConfig(shards=1))
         assert not (tmp_path / "fleet").exists()
+
+    def test_too_many_positionals_rejected(self, tmp_path):
+        with pytest.raises(TypeError):
+            FleetRouter.create(tmp_path / "fleet",
+                               FleetConfig(shards=1), None, "extra")

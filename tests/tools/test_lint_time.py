@@ -1,24 +1,22 @@
-"""The lint-time rule, enforced as part of tier-1."""
+"""The lint-time rule (ESP303), enforced as part of tier-1."""
 
 from pathlib import Path
 
-from repro.tools.lint_time import EXEMPT, find_violations
+from repro.analysis.srclint import TIME_EXEMPT, TIME_RULES, lint_paths
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
 
 
 def test_no_wall_clock_reads_outside_clock_layer():
-    violations = find_violations(SRC_ROOT)
+    violations = lint_paths([SRC_ROOT], rules=TIME_RULES)
     assert violations == [], "\n".join(
-        f"{rel}:{lineno}: {reason}: {line}"
-        for rel, lineno, line, reason in violations)
+        f"{v.where}: {v.reason}: {v.line}" for v in violations)
 
 
 def test_exemptions_are_the_clock_and_obs_layers_only():
     # The exemption list is part of the contract: widening it should be a
     # conscious, reviewed decision.
-    assert EXEMPT == ("repro/nvm/clock.py", "repro/obs/",
-                      "repro/tools/lint_time.py")
+    assert TIME_EXEMPT == ("repro/nvm/clock.py", "repro/obs/")
 
 
 def test_linter_flags_wall_clock_reads(tmp_path):
@@ -28,8 +26,8 @@ def test_linter_flags_wall_clock_reads(tmp_path):
                    "start = time.time()\n"
                    "t = time.perf_counter_ns()\n"
                    "m = time.monotonic()\n")
-    violations = find_violations(tmp_path)
-    assert [(v[0], v[1], v[3]) for v in violations] == [
+    violations = lint_paths([tmp_path], rules=TIME_RULES)
+    assert [(v.path, v.lineno, v.reason) for v in violations] == [
         ("repro/bench/bad.py", 2, "wall-clock time.time"),
         ("repro/bench/bad.py", 3, "wall-clock time.perf_counter"),
         ("repro/bench/bad.py", 4, "wall-clock time.monotonic"),
@@ -45,4 +43,4 @@ def test_linter_ignores_comments_and_exempt_files(tmp_path):
     (tmp_path / "repro" / "core").mkdir(parents=True)
     (tmp_path / "repro" / "core" / "y.py").write_text(
         "# never call time.time() here; use the Clock\nnow = clock.now_ns\n")
-    assert find_violations(tmp_path) == []
+    assert lint_paths([tmp_path], rules=TIME_RULES) == []
