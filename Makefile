@@ -3,13 +3,14 @@ export PYTHONPATH := src
 
 .PHONY: check test sweep sweep-fast fsck analyze \
 	lint-persist lint-time obs-report fleet-smoke concurrent-smoke \
-	elision-report
+	elision-report perfbench-test
 
 # The CI gate: the full static analyzer, the tier-1 suite, a strided
 # smoke pass of every crash sweep (including the fleet fail-over and
-# concurrent-gang layers), the end-to-end fleet and gang smokes, then
-# the flush-elision gates.
-check: analyze test sweep-fast fleet-smoke concurrent-smoke elision-report
+# concurrent-gang layers), the end-to-end fleet and gang smokes, the
+# flush-elision gates, then the benchmark's own tests.
+check: analyze test sweep-fast fleet-smoke concurrent-smoke elision-report \
+	perfbench-test
 
 # Per-bench clflush/sfence deltas for the allocation buffers + flush-
 # elision certificate (DESIGN.md §17): re-runs the fig17 and TPC-C
@@ -46,6 +47,12 @@ analyze:
 # Tier-1: the full unit/integration suite (exhaustive sweeps deselected).
 test:
 	$(PYTHON) -m pytest
+
+# The benchmark's own tests (perfbench/tests, outside tier-1's
+# testpaths): statistics, workload mixes, and traced runs that wrap the
+# NvmDevice/AddressSpace methods and must charge what untraced runs do.
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests
 
 # Exhaustive crash sweeps: every layer x every fault mode, every
 # injection point until the workload outruns the bomb.

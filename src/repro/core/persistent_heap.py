@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
 from repro.errors import OutOfMemoryError
 from repro.nvm.device import NvmDevice
 from repro.nvm.persist import PersistDomain, PersistEventLog
@@ -366,7 +364,7 @@ class PersistentHeap(PersistentSpaceService):
         filler_klass = self.persistent_klass_for(
             self.vm.array_klass(FieldKind.INT))
         offset = address - self.base_address
-        self.device.write_block(offset, np.zeros(words, dtype=np.int64))
+        self.device.fill(offset, words, 0)
         self.device.write(offset + obj_layout.MARK_WORD_OFFSET,
                           obj_layout.mark_encode())
         self.device.write(offset + obj_layout.KLASS_WORD_OFFSET,
@@ -386,7 +384,7 @@ class PersistentHeap(PersistentSpaceService):
         size = (klass.instance_words if length is None
                 else klass.array_words(length))
         offset = address - self.base_address
-        self.device.write_block(offset, np.zeros(size, dtype=np.int64))
+        self.device.fill(offset, size, 0)
         self.device.write(offset + obj_layout.MARK_WORD_OFFSET,
                           obj_layout.mark_encode())
         self.device.write(offset + obj_layout.KLASS_WORD_OFFSET, klass.address)

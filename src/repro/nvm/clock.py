@@ -66,12 +66,16 @@ class Clock:
         """
         if ns < 0:
             raise ValueError(f"negative charge: {ns}")
-        if self._meters:
-            self._meters[-1].ns += ns
+        meters = self._meters
+        if meters:
+            meters[-1].ns += ns
             return
         self._now_ns += ns
-        label = category if category is not None else self.current_category
-        self._by_category[label] = self._by_category.get(label, 0.0) + ns
+        if category is None:
+            stack = self._stack  # current_category, inlined (hot path)
+            category = stack[-1] if stack else DEFAULT_CATEGORY
+        by_category = self._by_category
+        by_category[category] = by_category.get(category, 0.0) + ns
 
     @contextmanager
     def divert(self, meter: ChargeMeter) -> Iterator[ChargeMeter]:

@@ -35,6 +35,7 @@ from repro.nvm.latency import DEFAULT_LATENCY, LatencyConfig
 
 WORD_BYTES = 8
 LINE_WORDS = 8  # one clflush covers 8 words = 64 bytes
+_LINE_SHIFT = 3  # offset >> _LINE_SHIFT == offset // LINE_WORDS
 
 
 class FaultMode:
@@ -61,12 +62,13 @@ class FaultMode:
     ALL = (ATOMIC, TORN, REORDERED)
 
 _U64 = 1 << 64
+_U64_MASK = _U64 - 1
 _I64_MAX = (1 << 63) - 1
 
 
 def _wrap_i64(value: int) -> int:
     """Reinterpret an arbitrary int as a signed 64-bit word (raw bits)."""
-    value &= _U64 - 1
+    value &= _U64_MASK
     return value - _U64 if value > _I64_MAX else value
 
 
@@ -147,6 +149,11 @@ class MemoryDevice:
         self.stats = DeviceStats()
         self._words = np.zeros(self.size_words, dtype=np.int64)
         self._hot: Dict[int, None] = {}  # insertion-ordered LRU of lines
+        # Per-word costs, fixed for the device's life (LatencyConfig is
+        # frozen): a load that hits / misses the cache, and a store.
+        self._hit_ns = latency.cache_hit_ns
+        self._miss_ns = self._read_cost()
+        self._store_ns = self._write_cost()
 
     # -- latency hooks (overridden per device kind) --------------------
     def _read_cost(self) -> float:
@@ -172,8 +179,8 @@ class MemoryDevice:
         first = offset // LINE_WORDS
         last = (offset + count - 1) // LINE_WORDS
         cost = 0.0
-        hit_ns = self.latency.cache_hit_ns
-        miss_ns = self._read_cost()
+        hit_ns = self._hit_ns
+        miss_ns = self._miss_ns
         for line in range(first, last + 1):
             cost += hit_ns if self._touch(line) else miss_ns
         self.clock.charge(cost)
@@ -185,9 +192,14 @@ class MemoryDevice:
         last = (offset + count - 1) // LINE_WORDS
         for line in range(first, last + 1):
             self._touch(line)
-        self.clock.charge(self._write_cost() * count)
+        self.clock.charge(self._store_ns * count)
 
     # -- word access ----------------------------------------------------
+    # ``read``/``write`` are the per-word hot path: one flat body each,
+    # with the bounds test, the LRU touch of ``_touch`` and the single
+    # cost of ``_charge_read``/``_charge_write`` inlined.  The charges,
+    # LRU order, counters and errors are exactly those of the block ops
+    # for ``count == 1``.
     def _check(self, offset: int, count: int = 1) -> None:
         if offset < 0 or offset + count > self.size_words:
             raise IllegalArgumentException(
@@ -195,16 +207,38 @@ class MemoryDevice:
                 f"[0, {self.size_words})")
 
     def read(self, offset: int) -> int:
-        self._check(offset)
+        if offset < 0 or offset >= self.size_words:
+            self._check(offset)
         self.stats.reads += 1
-        self._charge_read(offset, 1)
-        return int(self._words[offset])
+        line = offset >> _LINE_SHIFT
+        hot = self._hot
+        if line in hot:
+            del hot[line]
+            hot[line] = None
+            self.clock.charge(self._hit_ns)
+        else:
+            hot[line] = None
+            if len(hot) > self.CACHE_LINES:
+                del hot[next(iter(hot))]
+            self.clock.charge(self._miss_ns)
+        return self._words.item(offset)
 
     def write(self, offset: int, value: int) -> None:
-        self._check(offset)
+        if offset < 0 or offset >= self.size_words:
+            self._check(offset)
         self.stats.writes += 1
-        self._charge_write(offset, 1)
-        self._words[offset] = _wrap_i64(value)
+        line = offset >> _LINE_SHIFT
+        hot = self._hot
+        if line in hot:
+            del hot[line]
+            hot[line] = None
+        else:
+            hot[line] = None
+            if len(hot) > self.CACHE_LINES:
+                del hot[next(iter(hot))]
+        self.clock.charge(self._store_ns)
+        value &= _U64_MASK  # _wrap_i64, inlined
+        self._words[offset] = value - _U64 if value > _I64_MAX else value
 
     def read_block(self, offset: int, count: int) -> np.ndarray:
         """Read *count* words; charged per word, copied in one step."""
@@ -221,10 +255,12 @@ class MemoryDevice:
         self._words[offset:offset + count] = values
 
     def fill(self, offset: int, count: int, value: int = 0) -> None:
+        """Store *value* (wrapped to 64 bits, as :meth:`write` does) into
+        *count* words; charged exactly like :meth:`write_block`."""
         self._check(offset, count)
         self.stats.writes += count
         self._charge_write(offset, count)
-        self._words[offset:offset + count] = value
+        self._words[offset:offset + count] = _wrap_i64(value)
 
     # -- lifecycle -------------------------------------------------------
     def crash(self) -> None:
@@ -306,8 +342,25 @@ class NvmDevice(MemoryDevice):
             self._dirty_lines.update(range(first, last + 1))
 
     def write(self, offset: int, value: int) -> None:
-        super().write(offset, value)
-        self._mark_dirty(offset)
+        # MemoryDevice.write + _mark_dirty, flattened (hot path).
+        if offset < 0 or offset >= self.size_words:
+            self._check(offset)
+        self.stats.writes += 1
+        line = offset >> _LINE_SHIFT
+        hot = self._hot
+        if line in hot:
+            del hot[line]
+            hot[line] = None
+        else:
+            hot[line] = None
+            if len(hot) > self.CACHE_LINES:
+                del hot[next(iter(hot))]
+        self.clock.charge(self._store_ns)
+        value &= _U64_MASK  # _wrap_i64, inlined
+        self._words[offset] = value - _U64 if value > _I64_MAX else value
+        if self.event_log is not None:
+            self.event_log.record_store(offset, 1)
+        self._dirty_lines.add(line)
 
     def write_block(self, offset: int, values: np.ndarray) -> None:
         super().write_block(offset, values)
@@ -462,6 +515,7 @@ class NvmDevice(MemoryDevice):
         self._dirty_lines.clear()
         self._unfenced.clear()
         self._unfenced_lines.clear()
+        self._hot.clear()
 
     def durable_word(self, offset: int) -> int:
         """Read straight from the durable array (no charge: test helper)."""
@@ -501,11 +555,17 @@ class AddressSpace:
     """Routes absolute word addresses to mapped devices.
 
     Address 0 is reserved as the null reference, so mappings must start at a
-    positive base.
+    positive base.  The last mapping hit is kept as a one-entry *route*
+    ``(base, end, device)``: runs of accesses to one device skip the scan
+    over the mappings.  :meth:`mapping_at` refills it on a miss and
+    :meth:`map`/:meth:`unmap` reset it.
     """
+
+    _NO_ROUTE: Tuple[int, int, Optional[MemoryDevice]] = (0, 0, None)
 
     def __init__(self) -> None:
         self._mappings: List[Mapping] = []
+        self._route = self._NO_ROUTE
 
     def map(self, base: int, device: MemoryDevice) -> Mapping:
         if base <= 0:
@@ -517,10 +577,12 @@ class AddressSpace:
                     f"mapping [{new.base}, {new.end}) overlaps "
                     f"[{existing.base}, {existing.end}) of {existing.device.name}")
         self._mappings.append(new)
+        self._route = self._NO_ROUTE
         return new
 
     def unmap(self, device: MemoryDevice) -> None:
         self._mappings = [m for m in self._mappings if m.device is not device]
+        self._route = self._NO_ROUTE
 
     def is_free(self, base: int, size_words: int) -> bool:
         end = base + size_words
@@ -540,8 +602,10 @@ class AddressSpace:
         return candidate
 
     def mapping_at(self, address: int) -> Mapping:
+        """The mapping holding *address*; it becomes the cached route."""
         for mapping in self._mappings:
             if mapping.contains(address):
+                self._route = (mapping.base, mapping.end, mapping.device)
                 return mapping
         raise IllegalArgumentException(f"address {address:#x} is not mapped")
 
@@ -556,28 +620,46 @@ class AddressSpace:
         return tuple(self._mappings)
 
     # -- routed access -------------------------------------------------------
+    # read/write inline _routed: they are the per-word hot path.
+    def _routed(self, address: int) -> Tuple[int, MemoryDevice]:
+        base, end, device = self._route
+        if address < base or address >= end:
+            self.mapping_at(address)
+            base, end, device = self._route
+        return base, device
+
     def read(self, address: int) -> int:
-        mapping = self.mapping_at(address)
-        return mapping.device.read(address - mapping.base)
+        base, end, device = self._route
+        if address < base or address >= end:
+            self.mapping_at(address)
+            base, end, device = self._route
+        return device.read(address - base)
 
     def write(self, address: int, value: int) -> None:
-        mapping = self.mapping_at(address)
-        mapping.device.write(address - mapping.base, value)
+        base, end, device = self._route
+        if address < base or address >= end:
+            self.mapping_at(address)
+            base, end, device = self._route
+        device.write(address - base, value)
 
     def read_block(self, address: int, count: int) -> np.ndarray:
-        mapping = self.mapping_at(address)
-        return mapping.device.read_block(address - mapping.base, count)
+        base, device = self._routed(address)
+        return device.read_block(address - base, count)
 
     def write_block(self, address: int, values: np.ndarray) -> None:
-        mapping = self.mapping_at(address)
-        mapping.device.write_block(address - mapping.base, values)
+        base, device = self._routed(address)
+        device.write_block(address - base, values)
+
+    def fill(self, address: int, count: int, value: int = 0) -> None:
+        base, device = self._routed(address)
+        device.fill(address - base, count, value)
 
     def device_of(self, address: int) -> MemoryDevice:
-        return self.mapping_at(address).device
+        return self._routed(address)[1]
 
     def is_persistent(self, address: int) -> bool:
         """True when *address* lands in a non-volatile device."""
         try:
-            return not self.mapping_at(address).device.volatile
+            return not self.device_of(address).volatile
         except IllegalArgumentException:
             return False

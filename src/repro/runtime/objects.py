@@ -15,8 +15,6 @@ import struct
 import weakref
 from typing import Iterator, List, Optional
 
-import numpy as np
-
 from repro.errors import (
     ArrayIndexOutOfBoundsException,
     IllegalArgumentException,
@@ -76,14 +74,12 @@ class HeapAccess:
     # -- initialization -----------------------------------------------------------
     def init_instance(self, address: int, klass: Klass) -> None:
         """Zero the body and write the header of a fresh instance."""
-        self.memory.write_block(
-            address, np.zeros(klass.instance_words, dtype=np.int64))
+        self.memory.fill(address, klass.instance_words, 0)
         self.set_mark(address, layout.mark_encode())
         self.set_klass(address, klass)
 
     def init_array(self, address: int, klass: Klass, length: int) -> None:
-        self.memory.write_block(
-            address, np.zeros(klass.array_words(length), dtype=np.int64))
+        self.memory.fill(address, klass.array_words(length), 0)
         self.set_mark(address, layout.mark_encode())
         self.set_klass(address, klass)
         self.memory.write(address + layout.ARRAY_LENGTH_OFFSET, length)

@@ -47,6 +47,14 @@ class TestCacheModel:
         dev.read(0)
         assert clock.now_ns - before == DEFAULT_LATENCY.nvm_read_ns
 
+    def test_load_image_clears_cache(self, clock):
+        dev = NvmDevice(1024, clock)
+        dev.read(0)
+        dev.load_image(dev.durable_image())
+        before = clock.now_ns
+        dev.read(0)
+        assert clock.now_ns - before == DEFAULT_LATENCY.nvm_read_ns
+
     def test_block_read_charges_per_line(self, clock):
         dev = NvmDevice(1024, clock)
         dev.read_block(0, LINE_WORDS * 3)  # 3 cold lines

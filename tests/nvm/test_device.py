@@ -50,6 +50,12 @@ class TestBasicAccess:
         nvm.fill(0, 16, 7)
         assert all(nvm.read(i) == 7 for i in range(16))
 
+    def test_fill_wraps_like_write(self, nvm, dram):
+        for dev in (nvm, dram):
+            dev.fill(0, 3, 2**63)
+            dev.write(3, 2**63)
+            assert [dev.read(i) for i in range(4)] == [-(2**63)] * 4
+
     def test_out_of_bounds_read(self, nvm):
         with pytest.raises(IllegalArgumentException):
             nvm.read(1024)
