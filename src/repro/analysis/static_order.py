@@ -107,7 +107,7 @@ K_TXN_BEGIN = "txn-begin"
 K_TXN_COMMIT = "txn-commit"
 K_CALL = "call"
 
-_STORE_ATTRS = frozenset({"write", "write_block", "fill",
+_STORE_ATTRS = frozenset({"write", "write_block", "fill", "write_elements",
                           "set_field", "array_set"})
 _FLUSH_FENCE_ATTRS = frozenset({"persist", "persist_all", "flush_reachable",
                                 "flush_object", "flush_field",

@@ -77,6 +77,39 @@ class Clock:
         by_category = self._by_category
         by_category[category] = by_category.get(category, 0.0) + ns
 
+    def charge_each(self, costs: List[float]) -> None:
+        """:meth:`charge` each of *costs* in turn, without a category.
+
+        The totals take the same float additions in the same order as
+        one ``charge`` per cost — onto the innermost :meth:`divert` meter
+        if one is active, otherwise onto ``now_ns`` and the innermost
+        scope's category — so the result is bit-identical.  A negative
+        cost raises before anything is charged.
+        """
+        if not costs:
+            return
+        if min(costs) < 0:
+            raise ValueError(f"negative charge: {min(costs)}")
+        meters = self._meters
+        if meters:
+            meter = meters[-1]
+            total = meter.ns
+            for ns in costs:
+                total += ns
+            meter.ns = total
+            return
+        now = self._now_ns
+        for ns in costs:
+            now += ns
+        self._now_ns = now
+        stack = self._stack
+        category = stack[-1] if stack else DEFAULT_CATEGORY
+        by_category = self._by_category
+        total = by_category.get(category, 0.0)
+        for ns in costs:
+            total += ns
+        by_category[category] = total
+
     @contextmanager
     def divert(self, meter: ChargeMeter) -> Iterator[ChargeMeter]:
         """Divert every charge inside the block into *meter*.

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -240,6 +240,77 @@ class MemoryDevice:
         value &= _U64_MASK  # _wrap_i64, inlined
         self._words[offset] = value - _U64 if value > _I64_MAX else value
 
+    # -- element loops ----------------------------------------------------
+    # An interpreted array loop re-reads the array header (klass word,
+    # length word) before each element access.  ``read_elements`` and
+    # ``write_elements`` replay that loop in one call: for each element
+    # in turn, every *probe* word is read, then the element is read or
+    # stored.  LRU touches, hit/miss charges, ``DeviceStats`` and (on
+    # NVM) dirty lines and event-log records are exactly those of the
+    # equivalent per-word ``read``/``write`` calls; the charges reach the
+    # clock through one :meth:`Clock.charge_each`.  The probes must be
+    # words that the loop does not store to.
+    def _element_loop(self, probes: Sequence[int], offset: int, count: int,
+                      elem_hit_ns: float, elem_miss_ns: float) -> List[float]:
+        """LRU touches of the loop, in order; returns the per-access costs."""
+        for probe in probes:
+            if probe < 0 or probe >= self.size_words:
+                self._check(probe)
+        self._check(offset, count)
+        hot = self._hot
+        capacity = self.CACHE_LINES
+        hit_ns = self._hit_ns
+        miss_ns = self._miss_ns
+        probe_lines = [probe >> _LINE_SHIFT for probe in probes]
+        costs: List[float] = []
+        append = costs.append
+        for element in range(offset, offset + count):
+            for line in probe_lines:
+                if line in hot:
+                    del hot[line]
+                    hot[line] = None
+                    append(hit_ns)
+                else:
+                    hot[line] = None
+                    if len(hot) > capacity:
+                        del hot[next(iter(hot))]
+                    append(miss_ns)
+            line = element >> _LINE_SHIFT
+            if line in hot:
+                del hot[line]
+                hot[line] = None
+                append(elem_hit_ns)
+            else:
+                hot[line] = None
+                if len(hot) > capacity:
+                    del hot[next(iter(hot))]
+                append(elem_miss_ns)
+        return costs
+
+    def read_elements(self, probes: Sequence[int], offset: int,
+                      count: int) -> List[int]:
+        """Read the *count* words at *offset*, each after reading every
+        probe word; returns the element words."""
+        costs = self._element_loop(probes, offset, count,
+                                   self._hit_ns, self._miss_ns)
+        self.stats.reads += (len(probes) + 1) * count
+        self.clock.charge_each(costs)
+        return self._words[offset:offset + count].tolist()
+
+    def write_elements(self, probes: Sequence[int], offset: int,
+                       values: Sequence[int]) -> None:
+        """Store *values* (each wrapped to 64 bits, as :meth:`write`
+        does) from *offset* on, each after reading every probe word."""
+        count = len(values)
+        costs = self._element_loop(probes, offset, count,
+                                   self._store_ns, self._store_ns)
+        self.stats.reads += len(probes) * count
+        self.stats.writes += count
+        self.clock.charge_each(costs)
+        words = [value & _U64_MASK for value in values]
+        self._words[offset:offset + count] = [
+            word - _U64 if word > _I64_MAX else word for word in words]
+
     def read_block(self, offset: int, count: int) -> np.ndarray:
         """Read *count* words; charged per word, copied in one step."""
         self._check(offset, count)
@@ -365,6 +436,19 @@ class NvmDevice(MemoryDevice):
     def write_block(self, offset: int, values: np.ndarray) -> None:
         super().write_block(offset, values)
         self._mark_dirty(offset, len(values))
+
+    def write_elements(self, probes: Sequence[int], offset: int,
+                       values: Sequence[int]) -> None:
+        super().write_elements(probes, offset, values)
+        if not values:
+            return
+        end = offset + len(values)
+        if self.event_log is not None:
+            record_store = self.event_log.record_store
+            for element in range(offset, end):  # one record per word store
+                record_store(element, 1)
+        self._dirty_lines.update(
+            range(offset >> _LINE_SHIFT, ((end - 1) >> _LINE_SHIFT) + 1))
 
     def fill(self, offset: int, count: int, value: int = 0) -> None:
         super().fill(offset, count, value)
@@ -653,6 +737,23 @@ class AddressSpace:
     def fill(self, address: int, count: int, value: int = 0) -> None:
         base, device = self._routed(address)
         device.fill(address - base, count, value)
+
+    def read_elements(self, probes: Sequence[int], address: int,
+                      count: int) -> List[int]:
+        """Routed :meth:`MemoryDevice.read_elements`: one route, taken
+        at the first probe (else *address*), for the probes and every
+        element — they all lie in one object."""
+        base, device = self._routed(probes[0] if probes else address)
+        return device.read_elements([probe - base for probe in probes],
+                                    address - base, count)
+
+    def write_elements(self, probes: Sequence[int], address: int,
+                       values: Sequence[int]) -> None:
+        """Routed :meth:`MemoryDevice.write_elements`, routed like
+        :meth:`read_elements`."""
+        base, device = self._routed(probes[0] if probes else address)
+        device.write_elements([probe - base for probe in probes],
+                              address - base, values)
 
     def device_of(self, address: int) -> MemoryDevice:
         return self._routed(address)[1]

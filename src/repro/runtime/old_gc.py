@@ -19,7 +19,8 @@ and then hardens for crash consistency:
     the original address serves as undo log" (paper §4.2) and recovery can
     tell processed objects from unprocessed ones by inspecting timestamps;
   - the **serialized protocol** (the compaction front has caught up with
-    live data, so some object's destination overlaps its own source): the
+    live data, so the region's destination span reaches past its first
+    source and a copy could land on a source not yet copied): the
     region's objects are processed one by one behind a durable *region
     cursor*, and a self-overlapping object moves via a *chunked forward
     copy* with a durable progress record — redo-safe for objects of any
@@ -370,13 +371,18 @@ class CompactionEngine:
         return list(self.livemap.iter_objects(start, end))
 
     def _region_needs_serialization(self, region: int) -> bool:
-        """True when some object's destination overlaps its own source —
-        the compaction front has caught up with live data."""
-        for src in self._region_objects(region):
-            size = self.access.object_words(src)
-            if src - self.new_address(src) < size:
-                return True
-        return False
+        """True unless the region's destination span ends at or before
+        its first source — the compaction front has caught up with live
+        data.  The batched protocol stamps every source only after the
+        whole region is copied, and recovery re-copies from the sources,
+        so no copy may land on *any* source of the region, not just on
+        its own."""
+        objects = self._region_objects(region)
+        if not objects:
+            return False
+        last = objects[-1]
+        dest_end = self.new_address(last) + self.access.object_words(last)
+        return dest_end > objects[0]
 
     # ------------------------------------------------------------------
     # Phase 3: compact
@@ -483,7 +489,8 @@ class CompactionEngine:
         return self.new_address(value)
 
     def _compact_region_batched(self, region: int, recovery: bool) -> None:
-        """Copy protocol for a region whose objects all move strictly left.
+        """Copy protocol for a region whose destination span ends at or
+        before its first source.
 
         Persistence is batched per region, PS-GC style: every object is
         copied and its references fixed, the whole (contiguous) destination

@@ -300,8 +300,7 @@ class EspressoVM:
 
     def new_string(self, text: str) -> ObjectHandle:
         chars = self.new_array(FieldKind.INT, len(text))
-        for i, ch in enumerate(text):
-            self.array_set(chars, i, ord(ch))
+        self._string_chars(chars, [ord(ch) for ch in text])
         string = self.new(self.string_klass)
         self.set_field(string, "value", chars)
         self.set_field(string, "hash", _to_int64(hash(text)))
@@ -362,8 +361,7 @@ class EspressoVM:
 
     def pnew_string(self, text: str, heap: Optional[str] = None) -> ObjectHandle:
         chars = self.pnew_array(FieldKind.INT, len(text), heap)
-        for i, ch in enumerate(text):
-            self.array_set(chars, i, ord(ch))
+        self._string_chars(chars, [ord(ch) for ch in text])
         service = self._service_for(heap)
         pklass = service.persistent_klass_for(self.string_klass)
         self.constant_pool.resolve(pklass.name, pklass)
@@ -547,8 +545,40 @@ class EspressoVM:
         value = self.get_field(self._require(handle), "value")
         if value is None:
             raise NullPointerException("string with null value array")
-        length = self.array_length(value)
-        return "".join(chr(self.array_get(value, i)) for i in range(length))
+        return "".join(map(chr, self._string_chars(value)))
+
+    def _string_chars(self, chars: ObjectHandle,
+                      codes: Optional[List[int]] = None) -> List[int]:
+        """The element loop of a string's char array: read every code
+        (*codes* omitted) or store *codes*; returns the codes.
+
+        Element 0 goes through the checked ``array_get``/``array_set``
+        (klass, ``is_array``, bounds, ``HeapCorruptionError``).
+        Elements 1..n-1 replay what each of those calls does to memory —
+        read the klass word, read the length word, then read or store the
+        element — as one routed ``read_elements``/``write_elements``
+        call.  This is exact because nothing in the loop stores to the
+        header or reaches a safepoint: every later check would repeat
+        element 0's outcome.
+        """
+        reading = codes is None
+        if reading:
+            length = self.array_length(chars)
+            codes = [self.array_get(chars, 0)] if length else []
+        else:
+            length = len(codes)
+            if length:
+                self.array_set(chars, 0, codes[0])
+        if length > 1:
+            address = chars.address
+            probes = (address + layout.KLASS_WORD_OFFSET,
+                      address + layout.ARRAY_LENGTH_OFFSET)
+            slot = address + layout.ARRAY_HEADER_WORDS + 1
+            if reading:
+                codes += self.memory.read_elements(probes, slot, length - 1)
+            else:
+                self.memory.write_elements(probes, slot, codes[1:])
+        return codes
 
     # ==================================================================
     # Type checks

@@ -35,6 +35,7 @@ EXPECTED = {
     "bad_esp501_missing_fence.py": "ESP501",
     "bad_esp502_unlogged_store.py": "ESP502",
     "bad_esp502_store_after_commit.py": "ESP502",
+    "bad_esp502_unlogged_element_store.py": "ESP502",
     "bad_esp503_pending_exit.py": "ESP503",
     "bad_esp503_modal_fence.py": "ESP503",
     "bad_esp504_sibling_skip.py": "ESP504",

@@ -1,15 +1,19 @@
-"""Simulated-time invariance of the device word path.
+"""Simulated-time invariance of the device word path and string loops.
 
-A fixed mixed program — DRAM allocation with a young GC, ``pnew_string``,
-a ``PjhHashmap`` under a ``PjhTransaction``, ``array_copy`` on both
-heaps, a crashed restart and a reload — must charge exactly the same
-simulated nanoseconds (total and per category), bump exactly the same
-``DeviceStats`` counters on every mapped device and leave byte-identical
-durable images.  The golden values were captured by running
-:func:`run_program` against the unfused per-word path (``mapping_at`` →
-``_check`` → ``_charge_read``/``_touch`` → ``Clock.charge`` on every
-word), so host-speed work on that path cannot move a simulated number
-unnoticed.
+A fixed mixed program — DRAM allocation with a young GC, a DRAM
+``new_string``/``read_string``, ``pnew_string`` (including empty and
+one-character strings), a ``PjhHashmap`` under a ``PjhTransaction``,
+``array_copy`` on both heaps, a crashed restart and a reload — must
+charge exactly the same simulated nanoseconds (total and per category),
+bump exactly the same ``DeviceStats`` counters on every mapped device
+and leave byte-identical durable images.  The golden values were
+captured by running this file as a script on the commit before the fused
+string element loop, whose strings still made one ``array_get`` or
+``array_set`` per character; the program without the DRAM, empty and
+one-character strings had first been pinned on the unfused per-word path
+(``mapping_at`` → ``_check`` → ``_charge_read``/``_touch`` →
+``Clock.charge`` on every word).  So host-speed work on either path
+cannot move a simulated number unnoticed.
 
 ``String.hash`` words come from Python's ``hash(str)``, so the program
 runs in a child interpreter under ``PYTHONHASHSEED=0``; run this file as
@@ -67,11 +71,16 @@ def run_program(heap_dir):
     for i in range(40):
         jvm.array_set(dram_ints, i, i * i - 7)
     jvm.vm.array_copy(dram_ints, 3, dram_ints, 0, 30)
+    dram_text = jvm.read_string(jvm.new_string("brewed in DRAM, " * 3))
 
     # PJH: strings, a hash map under the undo-log transaction, arrays.
     greeting = jvm.pnew_string("espresso, brewed persistent")
     jvm.flush_reachable(greeting)
     jvm.set_root("greeting", greeting)
+    for name, text in (("empty", ""), ("single", "j")):
+        short = jvm.pnew_string(text)
+        jvm.flush_reachable(short)
+        jvm.set_root(name, short)
     txn = PjhTransaction(jvm)
     with clock.scope("map"):
         table = PjhHashmap(jvm, txn)
@@ -111,6 +120,8 @@ def run_program(heap_dir):
     ints = jvm2.get_root("ints")
     words = [jvm2.array_get(ints, i) for i in range(64)]
     text = jvm2.read_string(jvm2.get_root("greeting"))
+    short_texts = [jvm2.read_string(jvm2.get_root(name))
+                   for name in ("empty", "single")]
     return {
         "now_ns": clock.now_ns,
         "breakdown": clock.breakdown(),
@@ -120,40 +131,44 @@ def run_program(heap_dir):
         "values": values,
         "words_sum": sum(words),
         "text": text,
+        "dram_text": dram_text,
+        "short_texts": short_texts,
     }
 
 
-#: Captured from the unfused word path; see the module docstring.
+#: Captured from the per-character string loops; see the module docstring.
 _NO_STATS = {"reads": 0, "writes": 0, "flushes": 0, "fences": 0,
              "flushes_deduped": 0, "epochs": 0, "flushes_elided": 0,
              "fences_elided": 0}
 GOLDEN = {
-    "now_ns": 518668.0,
-    "breakdown": {"map": 178894.0, "other": 339774.0},
+    "now_ns": 523077.0,
+    "breakdown": {"map": 178684.0, "other": 344393.0},
     "before_crash": {
         "stats": {
-            "dram-heap": {**_NO_STATS, "reads": 1393, "writes": 1693},
-            "pjh:inv": {**_NO_STATS, "reads": 8725, "writes": 9573,
-                        "flushes": 1523, "fences": 847,
-                        "flushes_deduped": 65, "epochs": 847},
+            "dram-heap": {**_NO_STATS, "reads": 1638, "writes": 1803},
+            "pjh:inv": {**_NO_STATS, "reads": 8751, "writes": 9617,
+                        "flushes": 1535, "fences": 855,
+                        "flushes_deduped": 65, "epochs": 855},
         },
-        "images": {"pjh:inv": "e0607d43b266ec6b5850746c9ee5f609"
-                              "e197597044b840b8aa8286a296e325a2"},
+        "images": {"pjh:inv": "e81831db0f4ce4649e92bd4c11fd254e"
+                              "22f195ac18ec0336d2336f59ae5ff639"},
     },
     "after_reload": {
         "stats": {
             "dram-heap": dict(_NO_STATS),
-            "pjh:inv": {**_NO_STATS, "reads": 3705, "writes": 1290,
-                        "flushes": 218, "fences": 102,
+            "pjh:inv": {**_NO_STATS, "reads": 3746, "writes": 1290,
+                        "flushes": 226, "fences": 102,
                         "flushes_deduped": 28, "epochs": 102},
         },
-        "images": {"pjh:inv": "bdd7c73acc8925257cf8cd68e568ca44"
-                              "da99eeb2bb04ceac245899f262f9ff87"},
+        "images": {"pjh:inv": "e61f78958b3955d6a6e601acfd5d4b90"
+                              "33134b624d80650c30b79f613c1bc9cf"},
     },
     "hits": 30,
     "values": [-k if k % 4 == 0 else k * 11 for k in range(30)],
     "words_sum": 1776810790484400,
     "text": "espresso, brewed persistent",
+    "dram_text": "brewed in DRAM, " * 3,
+    "short_texts": ["", "j"],
 }
 
 
